@@ -4,7 +4,8 @@ Four command groups: `eval` for word arithmetic and the prefix-order
 operations, `dyn` for cyclic reduction, conjugacy, foldings and directions,
 `struct` for primitives and centralizers, `check` for the seeded invariant
 suites.  Every invocation names a graph file with -g.  Exit codes:
-0 ok, 1 check failures, 2 parse or usage error, 3 resource cap exceeded.
+0 ok, 1 check failures, 2 parse or usage error, 3 resource cap exceeded,
+4 internal error (an invariant check failed; a bug, reported in one line).
 
 With --json the output is a single document {command, config, result|report}
 with sorted keys; identical config yields byte-identical documents.
@@ -37,7 +38,7 @@ from .dynamics import (
     sim,
 )
 from .elements import element, identity, render
-from .errors import ParseError, ResourceCapError
+from .errors import InvariantViolationError, ParseError, ResourceCapError
 from .order import (
     DEFAULT_INTERVAL_CAP,
     boundary,
@@ -48,7 +49,7 @@ from .order import (
     median,
     meet,
 )
-from .presentation import CommutationGraph, load_graph
+from .presentation import MAX_WORD_LETTERS, CommutationGraph, load_graph
 from .structure import (
     center,
     centralizer,
@@ -61,6 +62,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +202,10 @@ def _run_eval(args: argparse.Namespace, g: CommutationGraph):
     if cmd == "inv":
         return render(~e(args.word1))
     if cmd == "pow":
-        return render(e(args.word1) ** args.n)
+        x = e(args.word1)
+        if len(x) * abs(args.n) > MAX_WORD_LETTERS:
+            raise ResourceCapError("power length", MAX_WORD_LETTERS, "letters")
+        return render(x ** args.n)
     if cmd == "len":
         return len(e(args.word1))
     if cmd == "meet":
@@ -358,6 +363,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceCapError as err:
         print(f"raagkit: {err}", file=sys.stderr)
         return EXIT_CAP
+    except InvariantViolationError as err:
+        print(f"raagkit: internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     if args.json:
         doc = {

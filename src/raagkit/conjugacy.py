@@ -16,7 +16,7 @@ from .elements import (
     mul_codes,
     pow_codes,
 )
-from .errors import ResourceCapError
+from .errors import InvariantViolationError, ResourceCapError
 from .order import meet_codes
 from .presentation import CommutationGraph
 
@@ -115,7 +115,8 @@ def conjugacy_witness(
         return None
     # w1 = u1 v1 u1⁻¹ and v2 = t⁻¹ v1 t, so c = u1·t·u2⁻¹ conjugates w1 to w2.
     c = r1.conjugator * GroupElement(g, t) * ~r2.conjugator
-    assert ~c * w1 * c == w2
+    if ~c * w1 * c != w2:
+        raise InvariantViolationError("conjugacy certificate does not conjugate w1 to w2")
     return c
 
 

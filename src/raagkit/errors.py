@@ -22,12 +22,12 @@ class GraphMismatchError(RaagError):
 
 
 class ResourceCapError(RaagError):
-    """An enumeration exceeded its configured cap. Never a silent truncation."""
+    """An enumeration or an input exceeded its cap. Never a silent truncation."""
 
-    def __init__(self, what: str, cap: int):
+    def __init__(self, what: str, cap: int, unit: str = "elements"):
         self.what = what
         self.cap = cap
-        super().__init__(f"{what} exceeded the cap of {cap} elements")
+        super().__init__(f"{what} exceeded the cap of {cap} {unit}")
 
 
 class InvariantViolationError(RaagError):

@@ -20,7 +20,6 @@ from .presentation import CommutationGraph
 from .elements import (
     GroupElement,
     _require_same_graph,
-    fl_set,
     inv_codes,
     mul_codes,
     render_codes,
@@ -45,31 +44,53 @@ def prefix_codes(graph: CommutationGraph, a, b) -> bool:
 
 
 def meet_codes(graph: CommutationGraph, a, b) -> tuple[int, ...]:
-    """Greatest common prefix, emitted directly in canonical form.
+    """Greatest common prefix of two canonical tuples, in one pass.
 
-    Any common first letter s of a and b is a prefix of the meet, and the set
-    of first letters of the meet is the intersection of the two first-letter
-    sets; popping the least common first letter therefore builds the
-    shortlex-least spelling of the meet letter by letter.
+    Run the reduction sweep of `reduce_codes` over a⁻¹·b.  Both halves are
+    reduced, so every cancellation pairs an incoming letter of b with a
+    pending letter of a⁻¹.  If k pairs cancel, the survivors spell
+    a⁻¹b = u·v, with u the l(a) - k surviving letters of a⁻¹ and v those of
+    b, and k = (l(a) + l(b) - l(a⁻¹b)) / 2 is the Gromov product of a and b
+    at the identity.  Let c be the cancelled letters of b in order.  Each
+    commutes with the surviving letters of b before it (one that blocked it
+    would sit above the a⁻¹ entries on its pile), so b = c·v with lengths
+    adding: c ⊂ b.  Then a⁻¹c = u has length l(a) - l(c), so c ⊂ a.  In
+    these groups the Gromov product is l(a ∩ b), and a common prefix that
+    long is the meet itself.  No shortlex pass is needed: every letter of b
+    that a letter of c depends on is in c, and the greedy least order of b
+    restricted to such a down-closed set is the least order of the set, so
+    c in b's order is canonical.
+
+    Surviving letters of b are not stacked: a survivor only hides the a⁻¹
+    entries below it, so a mask of the generators it blocks is enough, and
+    the sweep stops once that mask covers every generator.
     """
     if not a or not b:
         return ()
-    wa = list(a)
-    wb = list(b)
-    out: list[int] = []
-    while True:
-        fa = fl_set(graph, wa)
-        if not fa:
+    blockers = graph.blockers
+    block = graph.block_mask
+    full = (1 << graph.ngens) - 1
+    piles: list[list[int]] = [[] for _ in range(graph.ngens)]
+    pending = [l ^ 1 for l in reversed(a)]  # a⁻¹ by entry id, -1 once cancelled
+    for eid, l in enumerate(pending):
+        for h in blockers[l >> 1]:
+            piles[h].append(eid)
+    hidden = 0  # generators whose pile has a surviving letter of b on top
+    cancelled: list[int] = []
+    for s in b:
+        g = s >> 1
+        if not (hidden >> g) & 1:
+            pile = piles[g]
+            while pile and pending[pile[-1]] < 0:
+                pile.pop()
+            if pile and pending[pile[-1]] == (s ^ 1):
+                pending[pile.pop()] = -1
+                cancelled.append(s)
+                continue
+        hidden |= block[g]
+        if hidden == full:
             break
-        common = fa & fl_set(graph, wb)
-        if not common:
-            break
-        s = min(common)
-        out.append(s)
-        # The available occurrence of letter s is its first occurrence.
-        wa.remove(s)
-        wb.remove(s)
-    return tuple(out)
+    return tuple(cancelled)
 
 
 def median_codes(graph: CommutationGraph, x, y, z) -> tuple[int, ...]:

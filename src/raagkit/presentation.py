@@ -14,9 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, ResourceCapError
 
 _FORBIDDEN_NAME_CHARS = set("^',#")
+
+# The most letters a word may have, after expanding exponents.
+MAX_WORD_LETTERS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -191,12 +194,13 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
 
     ``name^k`` expands to |k| copies of the letter with sign sgn(k). The empty
     string is the empty word; so is the single token ``1`` (the rendering of
-    the identity).
+    the identity). Raises ResourceCapError, before expanding anything, when
+    the word would have more than MAX_WORD_LETTERS letters.
     """
     tokens = text.split()
     if tokens == ["1"]:
         return Word(())
-    letters: list[SignedLetter] = []
+    runs: list[tuple[int, int]] = []
     for tok in tokens:
         if "^" in tok:
             name, _, exp = tok.partition("^")
@@ -212,9 +216,12 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
             name, k = tok, 1
         if not name or name not in g.generators:
             raise ParseError(f"unknown generator {name!r}")
-        idx = g.gen_index(name)
-        sign = 1 if k > 0 else -1
-        letters.extend(SignedLetter(idx, sign) for _ in range(abs(k)))
+        runs.append((g.gen_index(name), k))
+    if sum(abs(k) for _, k in runs) > MAX_WORD_LETTERS:
+        raise ResourceCapError("word length", MAX_WORD_LETTERS, "letters")
+    letters: list[SignedLetter] = []
+    for idx, k in runs:
+        letters.extend([SignedLetter(idx, 1 if k > 0 else -1)] * abs(k))
     return Word(tuple(letters))
 
 

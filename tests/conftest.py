@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from raagkit.order import ball
-from raagkit.presentation import load_graph
+from raagkit.presentation import CommutationGraph, load_graph
 
 GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -29,6 +30,27 @@ def f2xz():
 @pytest.fixture(scope="session")
 def graphs(free2, z2, f2xz):
     return {"free2": free2, "z2": z2, "f2xz": f2xz}
+
+
+def cycle_graph(n: int) -> CommutationGraph:
+    """C_n: generator i commutes with i ± 1 (mod n)."""
+    return CommutationGraph([f"x{i}" for i in range(n)], {frozenset((i, (i + 1) % n)) for i in range(n)})
+
+
+def random_graph(n: int, p: float, seed: int) -> CommutationGraph:
+    """G(n, p): each pair commutes independently with probability p."""
+    rng = random.Random(seed)
+    pairs = {frozenset((i, j)) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+    return CommutationGraph([f"x{i}" for i in range(n)], pairs)
+
+
+KERNEL_GRAPHS = ["free2", "z2", "f2xz", "C5", "G20"]
+
+
+@pytest.fixture(scope="session")
+def kernel_graphs(graphs):
+    """The fixtures plus C5 and G(20, 0.3), for the word-kernel property tests."""
+    return {**graphs, "C5": cycle_graph(5), "G20": random_graph(20, 0.3, seed=20)}
 
 
 _BALL_CACHE: dict[tuple[int, int], frozenset] = {}

@@ -8,6 +8,8 @@ algorithms are validated against independent routes:
   minimal-length word of the closure.
 - `brute_prefixes` / `brute_meet`: prefix sets by first-letter recursion; the
   meet must be the unique maximum-length common element.
+- `ref_meet`: the meet by repeatedly popping the least common first letter,
+  quadratic but independent of the one-pass cancellation meet.
 - `brute_interval` / `brute_median`: the median must be the unique common
   point of the three pairwise intervals.
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from raagkit.elements import inv_codes, mul_codes
+from raagkit.elements import canon_codes, fl_codes, inv_codes, mul_codes
 from raagkit.presentation import CommutationGraph
 
 
@@ -72,7 +74,7 @@ def brute_prefixes(graph: CommutationGraph, x: tuple[int, ...]) -> set[tuple[int
         for i, s in enumerate(rest):
             g = s >> 1
             if all(h != g and graph.commutes(h, g) for h in seen_gens):
-                rec(mul_codes(graph, t, (s,)), rest[:i] + rest[i + 1:])
+                rec(canon_codes(graph, t + (s,)), rest[:i] + rest[i + 1:])
             seen_gens.add(g)
 
     rec((), tuple(x))
@@ -86,6 +88,29 @@ def brute_meet(graph: CommutationGraph, x: tuple[int, ...], y: tuple[int, ...]) 
     best = [t for t in common if len(t) == maxlen]
     assert len(best) == 1, f"meet is not unique for {x} and {y}: {best}"
     return best[0]
+
+
+def ref_meet(graph: CommutationGraph, a, b) -> tuple[int, ...]:
+    """Greatest common prefix, emitted directly in canonical form.
+
+    Any common first letter s of a and b is a prefix of the meet, and the set
+    of first letters of the meet is the intersection of the two first-letter
+    sets; popping the least common first letter therefore builds the
+    shortlex-least spelling of the meet letter by letter.
+    """
+    wa = list(a)
+    wb = list(b)
+    out: list[int] = []
+    while True:
+        common = set(fl_codes(graph, wa)) & set(fl_codes(graph, wb))
+        if not common:
+            break
+        s = min(common)
+        out.append(s)
+        # The available occurrence of letter s is its first occurrence.
+        wa.remove(s)
+        wb.remove(s)
+    return tuple(out)
 
 
 def brute_interval(graph: CommutationGraph, x: tuple[int, ...], y: tuple[int, ...]) -> frozenset[tuple[int, ...]]:

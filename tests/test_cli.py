@@ -3,7 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+from raagkit import cli
+from raagkit.errors import InvariantViolationError
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 F2XZ = str(GRAPHS / "f2xz.txt")
@@ -149,6 +153,35 @@ class TestExitCodes:
     def test_resource_cap(self):
         r = run("eval", "interval", "-g", F2XZ, "--interval-cap", "3", "1", "a b c")
         assert r.returncode == 3
+
+    def test_huge_exponent_fails_fast(self):
+        # Without the letter cap this would expand a billion letters; the
+        # timeout kills such a child, failing the test.
+        start = time.perf_counter()
+        r = subprocess.run(
+            [sys.executable, "-m", "raagkit", "eval", "normalize", "-g", F2XZ, "a^1000000000"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert r.returncode == 3 and "cap" in r.stderr
+
+    def test_huge_power_is_a_cap(self):
+        r = run("eval", "pow", "-g", FREE2, "a b", "500001")
+        assert r.returncode == 3
+        assert run("eval", "pow", "-g", FREE2, "a", "-1000").stdout.strip() == "a^-1000"
+
+    def test_internal_error_exit_code(self, monkeypatch, capsys):
+        def broken(args, g):
+            raise InvariantViolationError("certificate check failed")
+
+        monkeypatch.setattr(cli, "_run_eval", broken)
+        code = cli.main(["eval", "normalize", "-g", F2XZ, "a"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "raagkit: internal error: certificate check failed\n"
 
     def test_bad_config_values(self):
         assert run("check", "cyclic", "-g", F2XZ, "--samples", "0").returncode == 2

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from raagkit import conjugacy
 from raagkit.conjugacy import (
     are_conjugate,
     conjugacy_witness,
@@ -14,7 +15,7 @@ from raagkit.conjugacy import (
     mth_root,
 )
 from raagkit.elements import canon_codes, element, identity, power
-from raagkit.errors import ResourceCapError
+from raagkit.errors import InvariantViolationError, ResourceCapError
 from raagkit.order import meet
 from raagkit.sampling import random_codes, stream
 
@@ -152,6 +153,15 @@ class TestAreConjugate:
     def test_witness_frozen(self, free2):
         c = conjugacy_witness(element(free2, "a b"), element(free2, "b a"))
         assert c == element(free2, "a")
+
+    def test_wrong_certificate_is_an_invariant_error(self, free2, monkeypatch):
+        # The certificate check must survive `python -O`, so it raises
+        # instead of asserting. A closure that maps the core to a wrong
+        # conjugator (a) must be caught.
+        monkeypatch.setattr(conjugacy, "_conjugate_closure", lambda graph, v, cap: {v: (0,)})
+        w = element(free2, "a b")
+        with pytest.raises(InvariantViolationError):
+            conjugacy_witness(w, w)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_against_brute_force(self, graphs, balls, name):

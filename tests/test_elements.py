@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import KERNEL_GRAPHS
 from oracles_bf import brute_canonical, minimal_multiset, rewriting_closure
 from raagkit.elements import (
+    MUL_SPLICE_MAX,
+    SHORTLEX_SCAN_MAX,
+    _shortlex_heap,
+    _shortlex_scan,
     canon_codes,
     element,
     first_letters,
@@ -16,7 +21,9 @@ from raagkit.elements import (
     mul_codes,
     normalize,
     pow_codes,
+    reduce_codes,
     render,
+    shortlex_codes,
     support,
 )
 from raagkit.errors import GraphMismatchError
@@ -32,16 +39,30 @@ def _random_raw(rng: random.Random, ngens: int, max_len: int) -> tuple[int, ...]
     return tuple(rng.randrange(2 * ngens) for _ in range(n))
 
 
+def _random_reduced(rng: random.Random, g, length: int) -> list[int]:
+    """A reduced word of the given length, letters in random (not canonical)
+    order: a random letter is kept whenever it does not cancel."""
+    w: list[int] = []
+    while len(w) < length:
+        w2 = reduce_codes(g, w + [rng.randrange(2 * g.ngens)])
+        if len(w2) > len(w):
+            w = w2
+    return w
+
+
 class TestCanonicalOracle:
     """normalize must pick the shortlex-least minimal-length closure word."""
 
-    @pytest.mark.parametrize("name", ["free2", "z2", "f2xz"])
-    def test_matches_rewriting_closure(self, graphs, name):
-        g = graphs[name]
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_matches_rewriting_closure(self, kernel_graphs, name):
+        # Both shortlex paths, whatever the length switch picks at this size.
+        g = kernel_graphs[name]
         rng = random.Random(f"canon-oracle:{name}")
         for _ in range(ORACLE_SAMPLES):
             raw = _random_raw(rng, g.ngens, ORACLE_MAX_LEN)
-            assert canon_codes(g, raw) == brute_canonical(g, raw)
+            want = brute_canonical(g, raw)
+            assert canon_codes(g, raw) == want
+            assert _shortlex_heap(g, reduce_codes(g, raw)) == want
 
     @pytest.mark.parametrize("name", ["free2", "z2", "f2xz"])
     def test_minimal_length_letter_multiset_is_unique(self, graphs, name):
@@ -57,6 +78,55 @@ class TestCanonicalOracle:
         for _ in range(300):
             raw = _random_raw(rng, 3, 5)
             assert canon_codes(f2xz, raw) in rewriting_closure(f2xz, raw)
+
+
+class TestShortlexSwitch:
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_heap_equals_scan_on_both_sides(self, kernel_graphs, name):
+        # Every prefix of a random reduced word is reduced: lengths 0..128,
+        # which straddle the switch.
+        assert 0 < SHORTLEX_SCAN_MAX < 128
+        g = kernel_graphs[name]
+        rng = random.Random(f"shortlex-switch:{name}")
+        for _ in range(3):
+            w = _random_reduced(rng, g, 128)
+            for n in range(len(w) + 1):
+                want = _shortlex_scan(g, w[:n])
+                assert _shortlex_heap(g, w[:n]) == want
+                assert shortlex_codes(g, w[:n]) == want
+
+
+class TestMulLetter:
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_every_letter_matches_canon(self, kernel_graphs, name):
+        g = kernel_graphs[name]
+        rng = random.Random(f"mul-letter:{name}")
+        for length in range(49):
+            a = canon_codes(g, _random_reduced(rng, g, length))
+            for s in range(2 * g.ngens):
+                assert mul_codes(g, a, (s,)) == canon_codes(g, a + (s,))
+
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_short_and_long_right_factors_match_canon(self, kernel_graphs, name):
+        # Both sides of MUL_SPLICE_MAX, with factors that partly cancel.
+        g = kernel_graphs[name]
+        rng = random.Random(f"mul-short:{name}")
+        for _ in range(300):
+            a = canon_codes(g, _random_reduced(rng, g, rng.randint(0, 40)))
+            b = canon_codes(g, _random_reduced(rng, g, rng.randint(0, MUL_SPLICE_MAX + 4)))
+            if rng.random() < 0.5:
+                b = mul_codes(g, inv_codes(g, a[-rng.randint(0, len(a)):]), b)
+            assert mul_codes(g, a, b) == canon_codes(g, a + b)
+
+    def test_cancels_a_last_letter(self, f2xz):
+        a = element(f2xz, "a b c^5")
+        assert render(a * element(f2xz, "b^-1")) == "a c^5"
+        assert render(a * element(f2xz, "c^-1")) == "a b c^4"
+
+    def test_commutes_with_a_long_tail(self, f2xz, z2):
+        assert render(element(f2xz, "a b c^5") * element(f2xz, "a")) == "a b a c^5"
+        assert render(element(z2, "b^10") * element(z2, "a")) == "a b^10"
+        assert render(element(z2, "a^3 b^10") * element(z2, "a^-1")) == "a^2 b^10"
 
 
 class TestFrozenForms:

@@ -5,7 +5,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from oracles_bf import brute_interval, brute_median, brute_prefixes
+from conftest import KERNEL_GRAPHS
+from oracles_bf import brute_interval, brute_median, brute_prefixes, ref_meet
 from raagkit.elements import canon_codes, element, identity, inv_codes, mul_codes
 from raagkit.errors import InvariantViolationError, ResourceCapError
 from raagkit.order import (
@@ -75,6 +76,23 @@ class TestMeet:
                 m = meet_codes(g, x, y)
                 assert m in common
                 assert prefs[m] == common
+
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_matches_reference_meet(self, kernel_graphs, name):
+        # Pairs grown from a shared random prefix, so the meet is long and
+        # both the scan and the heap shortlex paths of the result are used.
+        g = kernel_graphs[name]
+        rng = random.Random(f"ref-meet:{name}")
+
+        def word(n):
+            return canon_codes(g, [rng.randrange(2 * g.ngens) for _ in range(n)])
+
+        for _ in range(300):
+            p = word(rng.randint(0, 48))
+            x = mul_codes(g, p, word(rng.randint(0, 24)))
+            y = mul_codes(g, p, word(rng.randint(0, 24)))
+            assert meet_codes(g, x, y) == ref_meet(g, x, y)
+            assert meet_codes(g, y, x) == ref_meet(g, x, y)
 
     def test_factorization(self, f2xz, balls):
         # x = (x∩y)·m⁻¹x with no cancellation.

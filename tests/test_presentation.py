@@ -1,9 +1,12 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raagkit.errors import ParseError
+from raagkit.errors import ParseError, ResourceCapError
 from raagkit.presentation import (
+    MAX_WORD_LETTERS,
     CommutationGraph,
     SignedLetter,
     Word,
@@ -123,6 +126,19 @@ class TestParseWord:
     def test_unreduced_input_is_kept_raw(self, f2xz):
         w = parse_word("a a^-1", f2xz)
         assert len(w) == 2
+
+    def test_letter_cap_is_inclusive(self, f2xz):
+        half = MAX_WORD_LETTERS // 2
+        assert len(parse_word(f"a^{half} b^-{MAX_WORD_LETTERS - half}", f2xz)) == MAX_WORD_LETTERS
+        with pytest.raises(ResourceCapError):
+            parse_word(f"a^{half} b^-{MAX_WORD_LETTERS - half} c", f2xz)
+
+    def test_huge_exponent_fails_before_expanding(self, f2xz):
+        start = time.perf_counter()
+        for text in ("a^1000000000", "a^-1000000000", "a^600000 b^-600000"):
+            with pytest.raises(ResourceCapError):
+                parse_word(text, f2xz)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestRenderWord:
