@@ -27,7 +27,7 @@ from .dynamics import (
     sim,
 )
 from .elements import GroupElement, identity, render
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, ResourceCapError
 from .order import (
     ball,
     check_agroup_axioms,
@@ -341,7 +341,8 @@ def check_qdir(
     ]
 
 
-def _generated_within(graph, gens, radius):
+def generated_within(graph, gens, radius):
+    """All products of the given elements and their inverses, length-capped."""
     start = identity(graph)
     seen = {start}
     frontier = [start]
@@ -406,7 +407,7 @@ def check_structure(
         gens = list(z.raag_generators) + list(z.abelian_generators)
         commuting = [x for x in ball3 if in_centralizer(w, x)]
         radius = max(len(x) for x in commuting) + 2
-        reached = _generated_within(g, gens, radius)
+        reached = generated_within(g, gens, radius)
         for x in commuting:
             if x not in reached:
                 inconclusive += 1
@@ -451,8 +452,8 @@ def check_structure(
     while found < samples:
         attempts += 1
         if attempts > attempts_cap:
-            raise InvariantViolationError(
-                "rejection sampling for orthogonal prefix pairs exhausted its budget"
+            raise ResourceCapError(
+                "rejection sampling for orthogonal prefix pairs", attempts_cap, "attempts"
             )
         w = _draw(rng, g, max_len)
         x = median(one, w, _draw(rng, g, max_len))

@@ -68,13 +68,6 @@ EXIT_INTERNAL = 4
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-g", "--graph", required=True, help="commutation graph file")
-    common.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    common.add_argument(
-        "--samples", type=int, default=1000, help="samples per law (default 1000)"
-    )
-    common.add_argument(
-        "--max-len", type=int, default=8, dest="max_len", help="sampled word length cap"
-    )
     common.add_argument(
         "--interval-cap",
         type=int,
@@ -158,31 +151,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, default=None, help="root degree (omit for maximal)")
     stsub.add_parser("center", parents=[common])
 
-    ck = top.add_parser("check", parents=[common], help="seeded invariant suites")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    sampling.add_argument(
+        "--samples", type=int, default=1000, help="samples per law (default 1000)"
+    )
+    sampling.add_argument(
+        "--max-len", type=int, default=8, dest="max_len", help="sampled word length cap"
+    )
+    ck = top.add_parser("check", parents=[common, sampling], help="seeded invariant suites")
     ck.add_argument("suite", choices=sorted(SUITES) + ["all"])
 
     return parser
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    return {
-        "graph": args.graph,
-        "seed": args.seed,
-        "samples": args.samples,
-        "max_len": args.max_len,
-        "interval_cap": args.interval_cap,
-        "conj_cap": args.conj_cap,
-        "output": "json" if args.json else "text",
-    }
+    config = {"graph": args.graph}
+    if args.group == "check":
+        config.update(seed=args.seed, samples=args.samples, max_len=args.max_len)
+    config.update(
+        interval_cap=args.interval_cap,
+        conj_cap=args.conj_cap,
+        output="json" if args.json else "text",
+    )
+    return config
 
 
 def _validate_config(args: argparse.Namespace) -> Optional[str]:
-    if not 0 <= args.seed < 2**64:
-        return "seed must fit in 64 unsigned bits"
-    if args.samples < 1:
-        return "samples must be >= 1"
-    if args.max_len < 0:
-        return "max-len must be >= 0"
+    if args.group == "check":
+        if not 0 <= args.seed < 2**64:
+            return "seed must fit in 64 unsigned bits"
+        if args.samples < 1:
+            return "samples must be >= 1"
+        if args.max_len < 0:
+            return "max-len must be >= 0"
     if args.interval_cap < 1 or args.conj_cap < 1:
         return "caps must be >= 1"
     return None

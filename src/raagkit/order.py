@@ -361,7 +361,7 @@ def check_agroup_axioms(g: CommutationGraph, samples: int = 1000, seed: int = 0,
     while found < samples:
         attempts += 1
         if attempts > attempts_cap:
-            raise InvariantViolationError("rejection sampling for orthogonal pairs exhausted its budget")
+            raise ResourceCapError("rejection sampling for orthogonal pairs", attempts_cap, "attempts")
         x = random_codes(rng, g, max_len)
         y = random_codes(rng, g, max_len)
         if not orth_codes_definitional(g, x, y):
@@ -377,7 +377,7 @@ def check_agroup_axioms(g: CommutationGraph, samples: int = 1000, seed: int = 0,
     while found < samples:
         attempts += 1
         if attempts > attempts_cap:
-            raise InvariantViolationError("constructive sampling for the inverse-prefix axiom exhausted its budget")
+            raise ResourceCapError("constructive sampling for the inverse-prefix axiom", attempts_cap, "attempts")
         y = random_codes(rng, g, max_len)
         iy = inv_codes(g, y)
         prefixes = interval_codes(g, iy)
@@ -394,7 +394,7 @@ def check_agroup_axioms(g: CommutationGraph, samples: int = 1000, seed: int = 0,
     while found < samples:
         attempts += 1
         if attempts > attempts_cap:
-            raise InvariantViolationError("rejection sampling for the meet-triviality axiom exhausted its budget")
+            raise ResourceCapError("rejection sampling for the meet-triviality axiom", attempts_cap, "attempts")
         x = random_codes(rng, g, max_len)
         y = random_codes(rng, g, max_len)
         z = random_codes(rng, g, max_len)

@@ -109,6 +109,8 @@ class CommutationGraph:
         return bool((self.comm_mask[i] >> j) & 1)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, CommutationGraph):
             return NotImplemented
         return self.generators == other.generators and self.commuting_pairs == other.commuting_pairs

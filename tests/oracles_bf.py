@@ -12,6 +12,8 @@ algorithms are validated against independent routes:
   quadratic but independent of the one-pass cancellation meet.
 - `brute_interval` / `brute_median`: the median must be the unique common
   point of the three pairwise intervals.
+- `ref_random_codes`: the rejection sampler that canonicalises every draw,
+  the reference for the one-pass reducedness test of `random_codes`.
 
 Layering: brute_prefixes and everything below rely on the canonical-form
 engine, which is itself validated against the rewriting closure first.
@@ -19,6 +21,7 @@ engine, which is itself validated against the rewriting closure first.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 from raagkit.elements import canon_codes, fl_codes, inv_codes, mul_codes
@@ -144,3 +147,16 @@ def brute_median(
     common = cell(x, y) & cell(y, z) & cell(x, z)
     assert len(common) == 1, f"median is not unique for {x}, {y}, {z}: {sorted(common)}"
     return next(iter(common))
+
+
+def ref_random_codes(rng: random.Random, graph: CommutationGraph, max_len: int, min_len: int = 0) -> tuple[int, ...]:
+    """`random_codes` by canonicalising every draw: reduced iff no letter cancels."""
+    length = rng.randint(min_len, max_len)
+    if length == 0:
+        return ()
+    nletters = 2 * graph.ngens
+    while True:
+        codes = [rng.randrange(nletters) for _ in range(length)]
+        t = canon_codes(graph, codes)
+        if len(t) == length:
+            return t

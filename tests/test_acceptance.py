@@ -18,10 +18,11 @@ from raagkit.checks import (
     check_folding,
     check_preorder,
     check_structure,
+    generated_within,
 )
 from raagkit.conjugacy import are_conjugate, conjugacy_witness
 from raagkit.dynamics import WContext, fold_phi, preceq, qdir
-from raagkit.elements import GroupElement, element, identity, render
+from raagkit.elements import GroupElement, element, render
 from raagkit.order import (
     check_agroup_axioms,
     check_median_axioms,
@@ -41,22 +42,6 @@ GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
 def rand_elem(rng, g, max_len, min_len=0):
     return GroupElement(g, random_codes(rng, g, max_len, min_len))
-
-
-def generated_within(graph, gens, radius):
-    """All products of the given elements and their inverses, length-capped."""
-    start = identity(graph)
-    seen = {start}
-    frontier = [start]
-    steps = list(gens) + [~t for t in gens]
-    while frontier:
-        cur = frontier.pop()
-        for s in steps:
-            nxt = cur * s
-            if len(nxt) <= radius and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
 
 
 def sorted_ball(balls, name, r):

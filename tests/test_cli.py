@@ -6,7 +6,9 @@ import sys
 import time
 from pathlib import Path
 
-from raagkit import cli
+import pytest
+
+from raagkit import cli, sampling
 from raagkit.errors import InvariantViolationError
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
@@ -183,6 +185,21 @@ class TestExitCodes:
         assert out == ""
         assert err == "raagkit: internal error: certificate check failed\n"
 
+    def test_sampling_budget_is_a_cap(self, monkeypatch, capsys):
+        monkeypatch.setattr(sampling, "_MAX_REJECTIONS", 1)
+        code = cli.main(["check", "cyclic", "-g", FREE2, "--max-len", "40", "--samples", "5"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_CAP == 3
+        assert out == ""
+        assert "rejection sampling" in err and "cap" in err
+
+    def test_sampling_flags_only_on_check(self, capsys):
+        for flag in ("--seed", "--samples", "--max-len"):
+            with pytest.raises(SystemExit) as e:
+                cli.main(["eval", "normalize", "-g", F2XZ, flag, "1", "a"])
+            assert e.value.code == 2
+        capsys.readouterr()
+
     def test_bad_config_values(self):
         assert run("check", "cyclic", "-g", F2XZ, "--samples", "0").returncode == 2
         assert run("check", "cyclic", "-g", F2XZ, "--conj-cap", "0").returncode == 2
@@ -200,6 +217,7 @@ class TestJson:
         assert doc["result"] == "a"
         assert doc["config"]["graph"] == F2XZ
         assert doc["config"]["output"] == "json"
+        assert not {"seed", "samples", "max_len"} & set(doc["config"])
         assert set(doc) == {"command", "config", "result"}
 
     def test_conj_document(self):
@@ -216,6 +234,7 @@ class TestJson:
         assert r.returncode == 0
         doc = json.loads(r.stdout)
         assert set(doc) == {"command", "config", "report"}
+        assert (doc["config"]["seed"], doc["config"]["samples"], doc["config"]["max_len"]) == (4, 25, 8)
         assert [rec["axiom"] for rec in doc["report"]] == [
             "power-meet-stability",
             "cyclic-reduced-powers",

@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+from raagkit.checks import generated_within
 from raagkit.conjugacy import cyclic_reduce, is_cyclically_reduced, max_root
 from raagkit.dynamics import WContext, fold_phi, in_axis, preceq
 from raagkit.elements import GroupElement, element, identity, render
@@ -34,22 +35,6 @@ def rand_elem(rng, g, max_len, min_len=0):
 def pair_key(pairs):
     """Order-free fingerprint of a decomposition's pairs."""
     return frozenset((p.codes, m) for p, m in pairs)
-
-
-def generated_within(graph, gens, radius):
-    """All products of the given elements and their inverses, length-capped."""
-    start = identity(graph)
-    seen = {start}
-    frontier = [start]
-    steps = list(gens) + [~t for t in gens]
-    while frontier:
-        cur = frontier.pop()
-        for s in steps:
-            nxt = cur * s
-            if len(nxt) <= radius and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
 
 
 def primitive_by_boundary(w):
