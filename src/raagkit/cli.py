@@ -227,7 +227,7 @@ def _run_eval(args: argparse.Namespace, g: CommutationGraph):
     if cmd == "boundary":
         cell = interval(identity(g), e(args.word1), cap=args.interval_cap)
         return _sorted_renders(boundary(cell))
-    raise AssertionError(cmd)
+    raise InvariantViolationError(f"no handler for command {cmd!r}")
 
 
 def _run_dyn(args: argparse.Namespace, g: CommutationGraph):
@@ -257,7 +257,7 @@ def _run_dyn(args: argparse.Namespace, g: CommutationGraph):
         return in_axis_slice(e(args.w), e(args.a), e(args.x))
     if cmd == "dirjoin":
         return render(dir_join(e(args.w), e(args.a), e(args.word1), e(args.word2)))
-    raise AssertionError(cmd)
+    raise InvariantViolationError(f"no handler for command {cmd!r}")
 
 
 def _run_struct(args: argparse.Namespace, g: CommutationGraph):
@@ -279,7 +279,7 @@ def _run_struct(args: argparse.Namespace, g: CommutationGraph):
         return [g.generators[s] for s in center(g)]
     if cmd == "hbasis":
         return [render(t) for t in h_basis(e(args.word1))]
-    raise AssertionError(cmd)
+    raise InvariantViolationError(f"no handler for command {cmd!r}")
 
 
 def _format_value(v) -> str:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -120,41 +119,36 @@ def conjugacy_witness(
     return c
 
 
-def _letter_counts(codes: tuple[int, ...]) -> Counter:
-    return Counter(codes)
+def _generator_counts(graph: CommutationGraph, v: tuple[int, ...]) -> list[int]:
+    counts = [0] * graph.ngens
+    for s in v:
+        counts[s >> 1] += 1
+    return counts
 
 
-def _root_candidates(
-    graph: CommutationGraph, v: tuple[int, ...], m: int
-) -> Optional[tuple[int, ...]]:
-    """A prefix p of v with letter multiset counts(v)/m and pᵐ = v, if any."""
-    counts = _letter_counts(v)
-    if any(c % m for c in counts.values()):
+def _core_root(graph: CommutationGraph, v: tuple[int, ...], m: int) -> Optional[tuple[int, ...]]:
+    """The p with pᵐ = v for a cyclically reduced v, or None.
+
+    If pᵐ = v then p is cyclically reduced (a conjugator u ≠ 1 of p would
+    be shared by v and v⁻¹), so pᵐ is p written m times with no
+    cancellation. The occurrences of one generator g are totally ordered in
+    every spelling of v, and in p·p·…·p copy i holds the i-th block of n_g/m
+    of them. Copy 1 is down-closed: nothing in a later copy precedes it. So
+    the letters of v that are among the first n_g/m occurrences of their
+    generator spell p, in any spelling of v. That p is the only candidate,
+    and one power decides.
+    """
+    counts = _generator_counts(graph, v)
+    if any(c % m for c in counts):
         return None
-    target = {s: c // m for s, c in counts.items()}
-    depth = len(v) // m
-    # DFS over prefixes; a state is the rest of v (the prefix is v·rest⁻¹,
-    # determined by the rest), pruned to letters still needed by the target.
-    seen_states: set[tuple[int, ...]] = set()
-    stack: list[tuple[tuple[int, ...], tuple[int, ...], dict]] = [((), v, dict(target))]
-    while stack:
-        p, rest, need = stack.pop()
-        if len(p) == depth:
-            cp = canon_codes(graph, p)
-            if pow_codes(graph, cp, m) == v:
-                return cp
-            continue
-        for s in fl_codes(graph, rest):
-            if need.get(s, 0) <= 0:
-                continue
-            rest2 = mul_codes(graph, ((s ^ 1),), rest)
-            if rest2 in seen_states:
-                continue
-            seen_states.add(rest2)
-            need2 = dict(need)
-            need2[s] -= 1
-            stack.append((p + (s,), rest2, need2))
-    return None
+    left = [c // m for c in counts]
+    first_block = []
+    for s in v:
+        if left[s >> 1]:
+            left[s >> 1] -= 1
+            first_block.append(s)
+    p = canon_codes(graph, first_block)
+    return p if pow_codes(graph, p, m) == v else None
 
 
 def mth_root(w: GroupElement, m: int) -> Optional[GroupElement]:
@@ -167,7 +161,7 @@ def mth_root(w: GroupElement, m: int) -> Optional[GroupElement]:
     if w.is_identity():
         return GroupElement(g, ())
     r = cyclic_reduce(w)
-    p = _root_candidates(g, r.core.codes, m)
+    p = _core_root(g, r.core.codes, m)
     if p is None:
         return None
     return r.conjugator * GroupElement(g, p) * ~r.conjugator
@@ -179,24 +173,10 @@ def max_root(w: GroupElement) -> tuple[GroupElement, int]:
         raise ValueError("the identity has no maximal root")
     g = w.graph
     r = cyclic_reduce(w)
-    counts = _letter_counts(r.core.codes)
-    d = 0
-    for c in counts.values():
-        d = gcd(d, c)
-    for m in sorted(_divisors(d), reverse=True):
-        p = _root_candidates(g, r.core.codes, m)
-        if p is not None:
-            return r.conjugator * GroupElement(g, p) * ~r.conjugator, m
-    raise AssertionError("unreachable: m = 1 always yields the element itself")
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            if k != n // k:
-                out.append(n // k)
-        k += 1
-    return out
+    d = gcd(*_generator_counts(g, r.core.codes))
+    for m in range(d, 1, -1):
+        if d % m == 0:
+            p = _core_root(g, r.core.codes, m)
+            if p is not None:
+                return r.conjugator * GroupElement(g, p) * ~r.conjugator, m
+    return w, 1

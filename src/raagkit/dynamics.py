@@ -26,7 +26,7 @@ from .order import (
 class WContext:
     """w together with memoized powers, conjugates and folding images."""
 
-    __slots__ = ("w", "graph", "reduction", "_powers", "_phi", "_conj", "_inv", "_q")
+    __slots__ = ("w", "graph", "reduction", "_powers", "_phi", "_conj", "_inv")
 
     def __init__(self, w: GroupElement):
         self.w = w
@@ -36,7 +36,6 @@ class WContext:
         self._phi: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._conj: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._inv: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._q: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 
     def power(self, n: int) -> tuple[int, ...]:
         """Canonical codes of wⁿ."""
@@ -87,16 +86,6 @@ class WContext:
             iwx = mul_codes(g, self.inv(self.w.codes), x)
             got = median_codes(g, wx, x, iwx)
             self._phi[x] = got
-        return got
-
-    def q(self, x: tuple[int, ...], n: int) -> tuple[int, ...]:
-        """Canonical codes of x⁻¹·wⁿ·φ_w(x), the gate targets seen from x."""
-        key = (x, n)
-        got = self._q.get(key)
-        if got is None:
-            g = self.graph
-            got = mul_codes(g, mul_codes(g, self.inv(x), self.power(n)), self.phi(x))
-            self._q[key] = got
         return got
 
 
@@ -173,45 +162,40 @@ def ll(
     return preceq(ctx, x, y) and equiv(ctx, x, y, cap)
 
 
-def _stabilized_gate(
-    ctx: WContext,
-    x: GroupElement,
-    y: GroupElement,
-    target,
-) -> GroupElement:
-    """Common limit driver: m_n = Y(x, y, target(n)), accepted once constant.
-
-    The sequence stabilizes after finitely many steps; accept after
-    l(x⁻¹y)+1 identical consecutive values plus one confirmation step.
-    """
-    g = ctx.graph
-    ix = ctx.inv(x.codes)
-    ixy = mul_codes(g, ix, y.codes)
-    need = len(ixy) + 2
-    max_iter = 8 * (len(x.codes) + len(y.codes) + len(ctx.w.codes) + 4)
-    last = None
-    streak = 0
-    for n in range(max_iter):
-        t = target(n)
-        m = mul_codes(g, x.codes, meet_codes(g, ixy, t))
-        if m == last:
-            streak += 1
-            if streak >= need:
-                return GroupElement(g, m)
-        else:
-            last = m
-            streak = 1
-    raise InvariantViolationError(
-        "gate sequence failed to stabilize; the limit formula is broken"
-    )
+def _gate(g, x: tuple[int, ...], t: tuple[int, ...], target: tuple[int, ...]) -> GroupElement:
+    """Y(x, y, x·target) for t = x⁻¹y, which is x·(t ∩ target)."""
+    return GroupElement(g, mul_codes(g, x, meet_codes(g, t, target)))
 
 
 def qdir(w: WLike, x: GroupElement, y: GroupElement) -> GroupElement:
-    """The quasidirection value: limit of Y(x, y, wⁿ·φ_w(x))."""
+    """The quasidirection value: the limit of Y(x, y, wⁿ·φ_w(x)) as n grows.
+
+    The limit is reached at n* = l(u) + l(t) + 1, u = x⁻¹φ(x), t = x⁻¹y.
+    Seen from x the gate is t ∩ u·cⁿ, where c = φ(x)⁻¹wφ(x) is cyclically
+    reduced because φ(x) lies on the axis, so wⁿφ(x) = φ(x)·cⁿ.
+
+    1. cⁿ is c written n times with no cancellation. The occurrences of one
+       generator keep their order, and copy i holds the i-th block of them.
+       A prefix of cⁿ is a down-closed set of occurrences, so one of length
+       ≤ L takes at most L of any generator and lies in c^L. The prefixes of
+       cⁿ of length ≤ L are therefore the same for every n ≥ L.
+    2. Left translation preserves medians, and a ∩ b = Y(1, a, b), so
+       t ∩ u·cⁿ = u·Y(u⁻¹, u⁻¹t, cⁿ). In the prefix semilattice
+       Y(a, b, e) = (a ∩ b) ∨ (a ∩ e) ∨ (b ∩ e), and u⁻¹ ∩ cⁿ and u⁻¹t ∩ cⁿ
+       only see the prefixes of cⁿ of length ≤ l(u) + l(t).
+
+    By 1 and 2 the gate is constant for n ≥ l(u) + l(t).
+    """
     ctx = _ctx(w)
     _require_same_graph(ctx.w, x)
     _require_same_graph(ctx.w, y)
-    return _stabilized_gate(ctx, x, y, lambda n: ctx.q(x.codes, n))
+    g = ctx.graph
+    ix = ctx.inv(x.codes)
+    phx = ctx.phi(x.codes)
+    u = mul_codes(g, ix, phx)
+    t = mul_codes(g, ix, y.codes)
+    n = len(u) + len(t) + 1
+    return _gate(g, x.codes, t, mul_codes(g, mul_codes(g, ix, ctx.power(n)), phx))
 
 
 def _require_axis(ctx: WContext, name: str, a: GroupElement) -> None:
@@ -280,16 +264,25 @@ def decompose_axis(
 
 
 def dir_join(w: WLike, a: GroupElement, x: GroupElement, y: GroupElement) -> GroupElement:
-    """The direction join over base a: limit of Y(x, y, Y(wⁿφ(x), a, wⁿφ(y)))."""
+    """The direction join over base a: the limit of Y(x, y, Y(wⁿφ(x), a, wⁿφ(y))).
+
+    Evaluated once at n* = l(x⁻¹φ(x)) + l(x⁻¹φ(y)) + l(x⁻¹a) + l(x⁻¹y) + 1.
+    Seen from x, with A = x⁻¹wⁿφ(x), B = x⁻¹wⁿφ(y), α = x⁻¹a and t = x⁻¹y,
+    the gate is t ∩ Y(A, α, B), and Y(A, α, B) = (A ∩ α) ∨ (α ∩ B) ∨ (A ∩ B).
+    Below Y(A, α, B) the prefix semilattice is a distributive lattice, so
+    the gate is (t ∩ A ∩ α) ∨ (t ∩ α ∩ B) ∨ ((t ∩ A) ∩ (t ∩ B)). By the
+    argument in `qdir`, t ∩ A is constant for n ≥ l(x⁻¹φ(x)) + l(t) and
+    t ∩ B for n ≥ l(x⁻¹φ(y)) + l(t), and n* exceeds both.
+    """
     ctx = _ctx(w)
     for e in (a, x, y):
         _require_same_graph(ctx.w, e)
     g = ctx.graph
-
-    def target(n: int) -> tuple[int, ...]:
-        tx = mul_codes(g, ctx.power(n), ctx.phi(x.codes))
-        ty = mul_codes(g, ctx.power(n), ctx.phi(y.codes))
-        inner = median_codes(g, tx, a.codes, ty)
-        return mul_codes(g, ctx.inv(x.codes), inner)
-
-    return _stabilized_gate(ctx, x, y, target)
+    ix = ctx.inv(x.codes)
+    phx = ctx.phi(x.codes)
+    phy = ctx.phi(y.codes)
+    t = mul_codes(g, ix, y.codes)
+    n = sum(len(mul_codes(g, ix, e)) for e in (phx, phy, a.codes)) + len(t) + 1
+    wn = ctx.power(n)
+    inner = median_codes(g, mul_codes(g, wn, phx), a.codes, mul_codes(g, wn, phy))
+    return _gate(g, x.codes, t, mul_codes(g, ix, inner))

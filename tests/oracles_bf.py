@@ -14,6 +14,12 @@ algorithms are validated against independent routes:
   point of the three pairwise intervals.
 - `ref_random_codes`: the rejection sampler that canonicalises every draw,
   the reference for the one-pass reducedness test of `random_codes`.
+- `ref_stabilized_gate`: a gate limit found by evaluating n = 0, 1, 2, …
+  until a long streak of equal values, the reference for the closed-form
+  index of `qdir` and `dir_join`.
+- `ref_root_candidates`: an m-th root of a cyclically reduced word by a
+  depth-first search over its prefixes, the reference for the
+  occurrence-block root of `mth_root` and `max_root`.
 
 Layering: brute_prefixes and everything below rely on the canonical-form
 engine, which is itself validated against the rewriting closure first.
@@ -24,7 +30,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from raagkit.elements import canon_codes, fl_codes, inv_codes, mul_codes
+from raagkit.elements import canon_codes, fl_codes, inv_codes, mul_codes, pow_codes
+from raagkit.order import meet_codes
 from raagkit.presentation import CommutationGraph
 
 
@@ -160,3 +167,58 @@ def ref_random_codes(rng: random.Random, graph: CommutationGraph, max_len: int, 
         t = canon_codes(graph, codes)
         if len(t) == length:
             return t
+
+
+def ref_stabilized_gate(ctx, x: tuple[int, ...], y: tuple[int, ...], target) -> tuple[int, ...]:
+    """The limit of x·(x⁻¹y ∩ target(n)) for n = 0, 1, 2, … under the WContext ctx.
+
+    Accepted after l(x⁻¹y) + 2 equal consecutive values; gives up after
+    8·(l(x) + l(y) + l(w) + 4) steps.
+    """
+    g = ctx.graph
+    ixy = mul_codes(g, inv_codes(g, x), y)
+    need = len(ixy) + 2
+    last = None
+    streak = 0
+    for n in range(8 * (len(x) + len(y) + len(ctx.w.codes) + 4)):
+        m = mul_codes(g, x, meet_codes(g, ixy, target(n)))
+        if m == last:
+            streak += 1
+            if streak >= need:
+                return m
+        else:
+            last = m
+            streak = 1
+    raise AssertionError("gate sequence failed to stabilize")
+
+
+def ref_root_candidates(graph: CommutationGraph, v: tuple[int, ...], m: int) -> tuple[int, ...] | None:
+    """A prefix p of v with letter multiset counts(v)/m and pᵐ = v, if any.
+
+    A depth-first search over prefixes, exponential when no root exists; a
+    state is the rest of v, which determines the prefix.
+    """
+    counts = Counter(v)
+    if any(c % m for c in counts.values()):
+        return None
+    depth = len(v) // m
+    seen: set[tuple[int, ...]] = set()
+    stack = [((), v, {s: c // m for s, c in counts.items()})]
+    while stack:
+        p, rest, need = stack.pop()
+        if len(p) == depth:
+            cp = canon_codes(graph, p)
+            if pow_codes(graph, cp, m) == v:
+                return cp
+            continue
+        for s in fl_codes(graph, rest):
+            if need.get(s, 0) <= 0:
+                continue
+            rest2 = mul_codes(graph, (s ^ 1,), rest)
+            if rest2 in seen:
+                continue
+            seen.add(rest2)
+            need2 = dict(need)
+            need2[s] -= 1
+            stack.append((p + (s,), rest2, need2))
+    return None

@@ -1,9 +1,13 @@
 """Cyclic reduction and conjugacy vs brute-force conjugator search."""
 
 import random
+from collections import Counter
+from math import gcd
 
 import pytest
 
+from conftest import KERNEL_GRAPHS
+from oracles_bf import ref_root_candidates
 from raagkit import conjugacy
 from raagkit.conjugacy import (
     are_conjugate,
@@ -14,9 +18,10 @@ from raagkit.conjugacy import (
     max_root,
     mth_root,
 )
-from raagkit.elements import canon_codes, element, identity, power
+from raagkit.elements import GroupElement, canon_codes, element, identity, pow_codes, power
 from raagkit.errors import InvariantViolationError, ResourceCapError
 from raagkit.order import meet
+from raagkit.presentation import CommutationGraph
 from raagkit.sampling import random_codes, stream
 
 FIXTURES = ["free2", "z2", "f2xz"]
@@ -256,3 +261,60 @@ class TestMaxRoot:
             assert power(p, m) == w
             assert m >= n
             assert max_root(p) == (p, 1)
+
+
+def _ref_max_root_degree(g, v):
+    """The largest m dividing every letter count of v with a root by the DFS."""
+    d = gcd(*Counter(v).values())
+    return next(m for m in range(d, 0, -1) if d % m == 0 and ref_root_candidates(g, v, m) is not None)
+
+
+class TestRootsMatchReference:
+    """The occurrence-block root against the depth-first prefix search."""
+
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_cores_and_their_powers(self, kernel_graphs, name):
+        g = kernel_graphs[name]
+        rng = stream(15, f"rootref:{name}")
+        for _ in range(150):
+            v = cyclic_reduce(_random_elem(rng, g, 6)).core.codes
+            if not v:
+                continue
+            for k in (1, 2, 3):
+                vk = pow_codes(g, v, k)
+                w = GroupElement(g, vk)
+                for m in (1, 2, 3, 4, 6):
+                    got = mth_root(w, m)
+                    assert (None if got is None else got.codes) == ref_root_candidates(g, vk, m)
+                p, m = max_root(w)
+                assert m == _ref_max_root_degree(g, vk)
+                assert p.codes == ref_root_candidates(g, vk, m)
+
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_conjugated_powers(self, kernel_graphs, name):
+        # roots of u·vᵏ·u⁻¹ are u·(root of the core)·u⁻¹
+        g = kernel_graphs[name]
+        rng = stream(16, f"rootconj:{name}")
+        for _ in range(200):
+            u, x = _random_elem(rng, g, 4), _random_elem(rng, g, 5)
+            if x.is_identity():
+                continue
+            k = rng.randint(1, 3)
+            w = u * power(x, k) * ~u
+            r = cyclic_reduce(w)
+            p, m = max_root(w)
+            assert m == _ref_max_root_degree(g, r.core.codes)
+            assert p == r.conjugator * GroupElement(g, ref_root_candidates(g, r.core.codes, m)) * ~r.conjugator
+
+
+def test_no_root_of_long_core_is_decided_at_once():
+    # (F2)^6, each factor a²b²a⁴b⁴: every letter count is 6, yet no proper
+    # root exists; the prefix search had to exhaust every candidate (~20 s).
+    k = 6
+    names = [f"{c}{i}" for i in range(k) for c in "ab"]
+    edges = {frozenset((2 * i + p, 2 * j + q)) for i in range(k) for j in range(i + 1, k) for p in (0, 1) for q in (0, 1)}
+    g = CommutationGraph(names, edges)
+    w = element(g, " ".join(f"a{i}^2 b{i}^2 a{i}^4 b{i}^4" for i in range(k)))
+    assert len(w.codes) == 72
+    assert mth_root(w, 2) is None
+    assert max_root(w) == (w, 1)

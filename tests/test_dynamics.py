@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import KERNEL_GRAPHS
+from oracles_bf import ref_stabilized_gate
 from raagkit.conjugacy import cyclic_reduce, is_cyclically_reduced
 from raagkit.dynamics import (
     WContext,
@@ -17,12 +19,13 @@ from raagkit.dynamics import (
     qdir,
     sim,
 )
-from raagkit.elements import GroupElement, element, identity, power
+from raagkit.elements import GroupElement, element, identity, mul_codes, power
 from raagkit.order import (
     interval,
     is_orthogonal,
     is_prefix,
     median,
+    median_codes,
     meet,
     oracle_qdir,
 )
@@ -508,3 +511,37 @@ class TestConvexClosureOfOrbit:
             assert u * w == w * u and v * w == w * v
             lo, hi = u * a, v * a
             assert len((~lo * x).codes) + len((~x * hi).codes) == len((~lo * hi).codes)
+
+
+class TestGatesMatchReference:
+    """The closed-form gate index against the streak loop it replaced."""
+
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_qdir(self, kernel_graphs, name):
+        g = kernel_graphs[name]
+        rng = stream(48, f"qdirref:{name}")
+        for _ in range(400):
+            ctx = WContext(_rand(rng, g, 5))
+            x, y = _rand(rng, g, 5), _rand(rng, g, 5)
+            ix, phx = ctx.inv(x.codes), ctx.phi(x.codes)
+
+            def target(n):
+                return mul_codes(g, mul_codes(g, ix, ctx.power(n)), phx)
+
+            assert qdir(ctx, x, y).codes == ref_stabilized_gate(ctx, x.codes, y.codes, target)
+
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_dir_join(self, kernel_graphs, name):
+        g = kernel_graphs[name]
+        rng = stream(49, f"joinref:{name}")
+        for _ in range(300):
+            ctx = WContext(_rand(rng, g, 5))
+            a, x, y = (_rand(rng, g, 5) for _ in range(3))
+            ix, phx, phy = ctx.inv(x.codes), ctx.phi(x.codes), ctx.phi(y.codes)
+
+            def target(n):
+                wn = ctx.power(n)
+                inner = median_codes(g, mul_codes(g, wn, phx), a.codes, mul_codes(g, wn, phy))
+                return mul_codes(g, ix, inner)
+
+            assert dir_join(ctx, a, x, y).codes == ref_stabilized_gate(ctx, x.codes, y.codes, target)
