@@ -93,6 +93,8 @@ class CommutationGraph:
         self.blockers: tuple[tuple[int, ...], ...] = tuple(
             tuple(h for h in range(n) if (self.block_mask[g] >> h) & 1) for g in range(n)
         )
+        # The counted normal-form automaton, built by `sampling` on the first draw.
+        self._normal_forms = None
 
     @property
     def ngens(self) -> int:

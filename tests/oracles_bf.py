@@ -12,8 +12,9 @@ algorithms are validated against independent routes:
   quadratic but independent of the one-pass cancellation meet.
 - `brute_interval` / `brute_median`: the median must be the unique common
   point of the three pairwise intervals.
-- `ref_random_codes`: the rejection sampler that canonicalises every draw,
-  the reference for the one-pass reducedness test of `random_codes`.
+- `ref_random_codes`: the r-th normal form of length L in lexicographic
+  order, with the letters forbidden after a word read off the word by a
+  backward scan, the reference for the counted automaton of `random_codes`.
 - `ref_stabilized_gate`: a gate limit found by evaluating n = 0, 1, 2, …
   until a long streak of equal values, the reference for the closed-form
   index of `qdir` and `dir_join`.
@@ -156,17 +157,61 @@ def brute_median(
     return next(iter(common))
 
 
+class _RefNormalForms:
+    """Normal forms of a graph counted top-down, for `ref_random_codes`."""
+
+    def __init__(self, graph: CommutationGraph):
+        self.nletters = n = 2 * graph.ngens
+        self.comm = [sum(1 << y for y in range(n) if graph.commutes(x >> 1, y >> 1)) for x in range(n)]
+        self.memo: dict[tuple[int, int], int] = {}
+
+    def forbidden_after(self, w: tuple[int, ...]) -> int:
+        """Bitmask of the letters y such that w·y ends in a cancelling pair
+        y⁻¹·u·y or in a factor b·u·y with y < b, where y commutes with every
+        letter of u (and with b): scan w backwards while some letter commutes
+        with every letter seen."""
+        free = (1 << self.nletters) - 1
+        out = 0
+        for b in reversed(w):
+            out |= free & ((1 << (b ^ 1)) | (self.comm[b] & ((1 << b) - 1)))
+            free &= self.comm[b]
+            if not free:
+                break
+        return out
+
+    def allowed(self, w: tuple[int, ...]) -> list[int]:
+        forbidden = self.forbidden_after(w)
+        return [x for x in range(self.nletters) if not forbidden >> x & 1]
+
+    def count(self, w: tuple[int, ...], k: int) -> int:
+        """Normal forms of length len(w) + k that start with the normal form w."""
+        key = (self.forbidden_after(w), k)
+        got = self.memo.get(key)
+        if got is None:
+            got = sum(self.count(w + (x,), k - 1) for x in self.allowed(w)) if k else 1
+            self.memo[key] = got
+        return got
+
+
+_REF_NORMAL_FORMS: dict[CommutationGraph, _RefNormalForms] = {}
+
+
 def ref_random_codes(rng: random.Random, graph: CommutationGraph, max_len: int, min_len: int = 0) -> tuple[int, ...]:
-    """`random_codes` by canonicalising every draw: reduced iff no letter cancels."""
+    """`random_codes` by a top-down count: the rank-th normal form of length L."""
+    nf = _REF_NORMAL_FORMS.get(graph)
+    if nf is None:
+        nf = _REF_NORMAL_FORMS[graph] = _RefNormalForms(graph)
     length = rng.randint(min_len, max_len)
-    if length == 0:
-        return ()
-    nletters = 2 * graph.ngens
-    while True:
-        codes = [rng.randrange(nletters) for _ in range(length)]
-        t = canon_codes(graph, codes)
-        if len(t) == length:
-            return t
+    rank = rng.randrange(nf.count((), length))
+    w: tuple[int, ...] = ()
+    for k in range(length - 1, -1, -1):
+        for x in nf.allowed(w):
+            c = nf.count(w + (x,), k)
+            if rank < c:
+                break
+            rank -= c
+        w += (x,)
+    return w
 
 
 def ref_stabilized_gate(ctx, x: tuple[int, ...], y: tuple[int, ...], target) -> tuple[int, ...]:

@@ -185,13 +185,24 @@ class TestExitCodes:
         assert out == ""
         assert err == "raagkit: internal error: certificate check failed\n"
 
-    def test_sampling_budget_is_a_cap(self, monkeypatch, capsys):
-        monkeypatch.setattr(sampling, "_MAX_REJECTIONS", 1)
-        code = cli.main(["check", "cyclic", "-g", FREE2, "--max-len", "40", "--samples", "5"])
+    def test_sampling_budget_is_a_cap(self, capsys):
+        start = time.perf_counter()
+        code = cli.main(["check", "all", "-g", FREE2, "--max-len", "1000000000", "--samples", "5"])
+        elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
         assert code == cli.EXIT_CAP == 3
         assert out == ""
-        assert "rejection sampling" in err and "cap" in err
+        assert err == f"raagkit: sampled word length exceeded the cap of {sampling.MAX_SAMPLE_LEN} letters\n"
+        assert elapsed < 5.0
+
+    def test_long_samples_are_served(self, capsys):
+        start = time.perf_counter()
+        code = cli.main(["check", "cyclic", "-g", FREE2, "--max-len", "60", "--samples", "5"])
+        elapsed = time.perf_counter() - start
+        out, _ = capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert out.endswith("total: 0 failures across 4 records\n")
+        assert elapsed < 5.0
 
     def test_sampling_flags_only_on_check(self, capsys):
         for flag in ("--seed", "--samples", "--max-len"):
