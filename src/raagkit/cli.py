@@ -7,16 +7,24 @@ suites.  Every invocation names a graph file with -g.  Exit codes:
 0 ok, 1 check failures, 2 parse or usage error, 3 resource cap exceeded,
 4 internal error (an invariant check failed; a bug, reported in one line).
 
+Each `eval`, `dyn` and `struct` command is one row of COMMANDS, which both
+builds the argument parser and runs the command.  Rows look library
+functions up in this module's globals at call time, so a caller that
+rebinds those names (a tracer, a test) sees every call.
+
 With --json the output is a single document {command, config, result|report}
-with sorted keys; identical config yields byte-identical documents.
+with sorted keys; identical config yields byte-identical documents.  If the
+reader of standard output goes away, the rest is dropped quietly and the
+exit code is the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .checks import SUITES, failure_count, run_suite
 from .conjugacy import (
@@ -65,6 +73,144 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 
+def _format_value(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is None:
+        return "none"
+    if isinstance(v, list):
+        return ", ".join(_format_value(t) for t in v)
+    return str(v)
+
+
+def _format_result(result) -> str:
+    """Default text form: a `key: value` line per record field, a line per list item."""
+    if isinstance(result, dict):
+        return "\n".join(f"{k}: {_format_value(v)}" for k, v in result.items())
+    if isinstance(result, list):
+        return "\n".join(_format_value(t) for t in result)
+    return _format_value(result)
+
+
+def _format_pairs(result: dict) -> str:
+    pairs = ", ".join(f"({t['p']})^{t['m']}" for t in result["pairs"])
+    return f"conjugator: {result['conjugator']}\npairs: {pairs}"
+
+
+def _format_report(report: list[dict]) -> str:
+    lines = []
+    for record in report:
+        head = f"{record['suite']}/{record['axiom']}: "
+        if record["failures"]:
+            head += f"FAIL ({len(record['failures'])} of {record['samples']} samples)"
+        else:
+            head += f"pass ({record['samples']} samples)"
+        if record.get("inconclusive"):
+            head += f" [{record['inconclusive']} inconclusive]"
+        lines.append(head)
+        for failure in record["failures"]:
+            lines.append("  " + " ".join(f"{k}={v!r}" for k, v in failure.items()))
+    bad = failure_count(report)
+    lines.append(f"total: {bad} failures across {len(report)} records")
+    return "\n".join(lines)
+
+
+class Command(NamedTuple):
+    """One command.  `args` names its arguments in parser order: `x y z`
+    are positional words, `--w --a --x` required word options, and the keys
+    of _INT_ARGS integers.  `run` takes the parsed arguments, every word an
+    element and the graph as `g`, and returns the JSON result; `text`
+    renders that result in text mode."""
+
+    group: str
+    name: str
+    args: str
+    run: Callable[[argparse.Namespace], object]
+    text: Callable[[object], str] = _format_result
+
+
+_INT_ARGS = {"n": {}, "-m": {"help": "root degree (omit for maximal)"}}
+
+_GROUPS = {
+    "eval": "word arithmetic and order operations",
+    "dyn": "cyclic reduction, conjugacy, foldings, directions",
+    "struct": "primitives, decompositions, centralizers",
+}
+
+
+def _maybe_render(x) -> Optional[str]:
+    return None if x is None else render(x)
+
+
+def _sorted_renders(elems) -> list[str]:
+    return [render(e) for e in sorted(elems, key=lambda t: (len(t.codes), t.codes))]
+
+
+def _power(a: argparse.Namespace) -> str:
+    if len(a.x) * abs(a.n) > MAX_WORD_LETTERS:
+        raise ResourceCapError("power length", MAX_WORD_LETTERS, "letters")
+    return render(a.x ** a.n)
+
+
+def _cyclic_reduction(a: argparse.Namespace) -> dict:
+    r = cyclic_reduce(a.x)
+    return {"conjugator": render(r.conjugator), "core": render(r.core)}
+
+
+def _conjugacy(a: argparse.Namespace) -> dict:
+    c = conjugacy_witness(a.x, a.y, cap=a.conj_cap)
+    return {"conjugate": c is not None, "certificate": _maybe_render(c)}
+
+
+def _root(a: argparse.Namespace):
+    if a.m is not None:
+        return _maybe_render(mth_root(a.x, a.m))
+    p, m = max_root(a.x)
+    return {"p": render(p), "m": m}
+
+
+COMMANDS = (
+    Command("eval", "normalize", "x", lambda a: render(a.x)),
+    Command("eval", "mul", "x y", lambda a: render(a.x * a.y)),
+    Command("eval", "inv", "x", lambda a: render(~a.x)),
+    Command("eval", "len", "x", lambda a: len(a.x)),
+    Command("eval", "meet", "x y", lambda a: render(meet(a.x, a.y))),
+    Command("eval", "median", "x y z", lambda a: render(median(a.x, a.y, a.z))),
+    Command("eval", "join", "x y", lambda a: _maybe_render(join(a.x, a.y))),
+    Command("eval", "orth", "x y", lambda a: is_orthogonal(a.x, a.y)),
+    Command("eval", "prefix", "x y", lambda a: is_prefix(a.x, a.y)),
+    Command(
+        "eval", "interval", "x y",
+        lambda a: _sorted_renders(interval(a.x, a.y, cap=a.interval_cap).elements),
+    ),
+    Command(
+        "eval", "boundary", "x",
+        lambda a: _sorted_renders(boundary(interval(identity(a.g), a.x, cap=a.interval_cap))),
+    ),
+    Command("eval", "pow", "x n", _power),
+    Command("dyn", "cyclred", "x", _cyclic_reduction),
+    Command(
+        "dyn", "conj", "x y", _conjugacy,
+        lambda r: "false" if r["certificate"] is None else f"true\ncertificate: {r['certificate']}",
+    ),
+    Command("dyn", "phi", "--w --x", lambda a: render(fold_phi(a.w, a.x))),
+    Command("dyn", "axis", "--w --x", lambda a: in_axis(a.w, a.x)),
+    Command("dyn", "preceq", "--w x y", lambda a: preceq(a.w, a.x, a.y)),
+    Command("dyn", "sim", "--w x y", lambda a: sim(a.w, a.x, a.y)),
+    Command("dyn", "equiv", "--w x y", lambda a: equiv(a.w, a.x, a.y, cap=a.interval_cap)),
+    Command("dyn", "qdir", "--w x y", lambda a: render(qdir(a.w, a.x, a.y))),
+    Command("dyn", "psi", "--w --a --x", lambda a: render(psi_fold(a.w, a.a, a.x))),
+    Command("dyn", "slice", "--w --a --x", lambda a: in_axis_slice(a.w, a.a, a.x)),
+    Command("dyn", "dirjoin", "--w --a x y", lambda a: render(dir_join(a.w, a.a, a.x, a.y))),
+    Command("struct", "prim", "x", lambda a: is_primitive(a.x)),
+    Command("struct", "decompose", "x", lambda a: prim_decompose(a.x).as_record(), _format_pairs),
+    Command("struct", "centralizer", "x", lambda a: centralizer(a.x).as_record()),
+    Command("struct", "hbasis", "x", lambda a: [render(t) for t in h_basis(a.x)]),
+    Command("struct", "root", "x -m", _root),
+    Command("struct", "center", "", lambda a: [a.g.generators[s] for s in center(a.g)]),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-g", "--graph", required=True, help="commutation graph file")
@@ -91,75 +237,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Computational kernel for groups presented by commutation graphs.",
     )
     top = parser.add_subparsers(dest="group", required=True)
+    groups = {
+        group: top.add_parser(group, help=text).add_subparsers(dest="cmd", required=True)
+        for group, text in _GROUPS.items()
+    }
+    for command in COMMANDS:
+        p = groups[command.group].add_parser(command.name, parents=[common])
+        p.set_defaults(command=command)
+        for name in command.args.split():
+            if name in _INT_ARGS:
+                p.add_argument(name, type=int, **_INT_ARGS[name])
+            elif name.startswith("--"):
+                p.add_argument(name, required=True, metavar="WORD")
+            else:
+                p.add_argument(name, metavar="WORD")
 
-    ev = top.add_parser("eval", help="word arithmetic and order operations")
-    evsub = ev.add_subparsers(dest="cmd", required=True)
-    for name, nwords in (
-        ("normalize", 1),
-        ("mul", 2),
-        ("inv", 1),
-        ("len", 1),
-        ("meet", 2),
-        ("median", 3),
-        ("join", 2),
-        ("orth", 2),
-        ("prefix", 2),
-        ("interval", 2),
-        ("boundary", 1),
-    ):
-        p = evsub.add_parser(name, parents=[common])
-        for i in range(nwords):
-            p.add_argument(f"word{i + 1}", metavar="WORD")
-    p = evsub.add_parser("pow", parents=[common])
-    p.add_argument("word1", metavar="WORD")
-    p.add_argument("n", type=int)
-
-    dy = top.add_parser("dyn", help="cyclic reduction, conjugacy, foldings, directions")
-    dysub = dy.add_subparsers(dest="cmd", required=True)
-    p = dysub.add_parser("cyclred", parents=[common])
-    p.add_argument("word1", metavar="WORD")
-    p = dysub.add_parser("conj", parents=[common])
-    p.add_argument("word1", metavar="WORD")
-    p.add_argument("word2", metavar="WORD")
-    for name in ("phi", "axis"):
-        p = dysub.add_parser(name, parents=[common])
-        p.add_argument("--w", required=True, metavar="WORD")
-        p.add_argument("--x", required=True, metavar="WORD")
-    for name in ("preceq", "sim", "equiv", "qdir"):
-        p = dysub.add_parser(name, parents=[common])
-        p.add_argument("--w", required=True, metavar="WORD")
-        p.add_argument("word1", metavar="WORD")
-        p.add_argument("word2", metavar="WORD")
-    for name in ("psi", "slice"):
-        p = dysub.add_parser(name, parents=[common])
-        p.add_argument("--w", required=True, metavar="WORD")
-        p.add_argument("--a", required=True, metavar="WORD")
-        p.add_argument("--x", required=True, metavar="WORD")
-    p = dysub.add_parser("dirjoin", parents=[common])
-    p.add_argument("--w", required=True, metavar="WORD")
-    p.add_argument("--a", required=True, metavar="WORD")
-    p.add_argument("word1", metavar="WORD")
-    p.add_argument("word2", metavar="WORD")
-
-    st = top.add_parser("struct", help="primitives, decompositions, centralizers")
-    stsub = st.add_subparsers(dest="cmd", required=True)
-    for name in ("prim", "decompose", "centralizer", "hbasis"):
-        p = stsub.add_parser(name, parents=[common])
-        p.add_argument("word1", metavar="WORD")
-    p = stsub.add_parser("root", parents=[common])
-    p.add_argument("word1", metavar="WORD")
-    p.add_argument("-m", type=int, default=None, help="root degree (omit for maximal)")
-    stsub.add_parser("center", parents=[common])
-
-    sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    sampling.add_argument(
-        "--samples", type=int, default=1000, help="samples per law (default 1000)"
-    )
-    sampling.add_argument(
-        "--max-len", type=int, default=8, dest="max_len", help="sampled word length cap"
-    )
-    ck = top.add_parser("check", parents=[common, sampling], help="seeded invariant suites")
+    ck = top.add_parser("check", parents=[common], help="seeded invariant suites")
+    ck.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    ck.add_argument("--samples", type=int, default=1000, help="samples per law (default 1000)")
+    ck.add_argument("--max-len", type=int, default=8, dest="max_len", help="sampled word length cap")
     ck.add_argument("suite", choices=sorted(SUITES) + ["all"])
 
     return parser
@@ -190,144 +286,18 @@ def _validate_config(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _sorted_renders(elems) -> list[str]:
-    return [render(e) for e in sorted(elems, key=lambda t: (len(t.codes), t.codes))]
-
-
-def _run_eval(args: argparse.Namespace, g: CommutationGraph):
-    e = lambda s: element(g, s)
-    cmd = args.cmd
-    if cmd == "normalize":
-        return render(e(args.word1))
-    if cmd == "mul":
-        return render(e(args.word1) * e(args.word2))
-    if cmd == "inv":
-        return render(~e(args.word1))
-    if cmd == "pow":
-        x = e(args.word1)
-        if len(x) * abs(args.n) > MAX_WORD_LETTERS:
-            raise ResourceCapError("power length", MAX_WORD_LETTERS, "letters")
-        return render(x ** args.n)
-    if cmd == "len":
-        return len(e(args.word1))
-    if cmd == "meet":
-        return render(meet(e(args.word1), e(args.word2)))
-    if cmd == "median":
-        return render(median(e(args.word1), e(args.word2), e(args.word3)))
-    if cmd == "join":
-        j = join(e(args.word1), e(args.word2))
-        return None if j is None else render(j)
-    if cmd == "orth":
-        return is_orthogonal(e(args.word1), e(args.word2))
-    if cmd == "prefix":
-        return is_prefix(e(args.word1), e(args.word2))
-    if cmd == "interval":
-        cell = interval(e(args.word1), e(args.word2), cap=args.interval_cap)
-        return _sorted_renders(cell.elements)
-    if cmd == "boundary":
-        cell = interval(identity(g), e(args.word1), cap=args.interval_cap)
-        return _sorted_renders(boundary(cell))
-    raise InvariantViolationError(f"no handler for command {cmd!r}")
-
-
-def _run_dyn(args: argparse.Namespace, g: CommutationGraph):
-    e = lambda s: element(g, s)
-    cmd = args.cmd
-    if cmd == "cyclred":
-        r = cyclic_reduce(e(args.word1))
-        return {"conjugator": render(r.conjugator), "core": render(r.core)}
-    if cmd == "conj":
-        c = conjugacy_witness(e(args.word1), e(args.word2), cap=args.conj_cap)
-        return {"conjugate": c is not None, "certificate": None if c is None else render(c)}
-    if cmd == "phi":
-        return render(fold_phi(e(args.w), e(args.x)))
-    if cmd == "axis":
-        return in_axis(e(args.w), e(args.x))
-    if cmd == "preceq":
-        return preceq(e(args.w), e(args.word1), e(args.word2))
-    if cmd == "sim":
-        return sim(e(args.w), e(args.word1), e(args.word2))
-    if cmd == "equiv":
-        return equiv(e(args.w), e(args.word1), e(args.word2), cap=args.interval_cap)
-    if cmd == "qdir":
-        return render(qdir(e(args.w), e(args.word1), e(args.word2)))
-    if cmd == "psi":
-        return render(psi_fold(e(args.w), e(args.a), e(args.x)))
-    if cmd == "slice":
-        return in_axis_slice(e(args.w), e(args.a), e(args.x))
-    if cmd == "dirjoin":
-        return render(dir_join(e(args.w), e(args.a), e(args.word1), e(args.word2)))
-    raise InvariantViolationError(f"no handler for command {cmd!r}")
-
-
-def _run_struct(args: argparse.Namespace, g: CommutationGraph):
-    e = lambda s: element(g, s)
-    cmd = args.cmd
-    if cmd == "prim":
-        return is_primitive(e(args.word1))
-    if cmd == "root":
-        if args.m is not None:
-            p = mth_root(e(args.word1), args.m)
-            return None if p is None else render(p)
-        p, m = max_root(e(args.word1))
-        return {"p": render(p), "m": m}
-    if cmd == "decompose":
-        return prim_decompose(e(args.word1)).as_record()
-    if cmd == "centralizer":
-        return centralizer(e(args.word1)).as_record()
-    if cmd == "center":
-        return [g.generators[s] for s in center(g)]
-    if cmd == "hbasis":
-        return [render(t) for t in h_basis(e(args.word1))]
-    raise InvariantViolationError(f"no handler for command {cmd!r}")
-
-
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "none"
-    if isinstance(v, list):
-        if v and all(isinstance(t, dict) and set(t) == {"p", "m"} for t in v):
-            return ", ".join(f"({t['p']})^{t['m']}" for t in v)
-        return ", ".join(_format_value(t) for t in v)
-    return str(v)
-
-
-def _format_result(cmd: str, result) -> str:
-    if cmd == "conj":
-        lines = [_format_value(result["conjugate"])]
-        if result["certificate"] is not None:
-            lines.append(f"certificate: {result['certificate']}")
-        return "\n".join(lines)
-    if isinstance(result, dict):
-        return "\n".join(f"{k}: {_format_value(v)}" for k, v in result.items())
-    if isinstance(result, list):
-        return "\n".join(_format_value(t) for t in result)
-    return _format_value(result)
-
-
-def _format_report(report: list[dict]) -> str:
-    lines = []
-    for record in report:
-        head = f"{record['suite']}/{record['axiom']}: "
-        if record["failures"]:
-            head += f"FAIL ({len(record['failures'])} of {record['samples']} samples)"
-        else:
-            head += f"pass ({record['samples']} samples)"
-        if record.get("inconclusive"):
-            head += f" [{record['inconclusive']} inconclusive]"
-        lines.append(head)
-        for failure in record["failures"]:
-            lines.append("  " + " ".join(f"{k}={v!r}" for k, v in failure.items()))
-    bad = failure_count(report)
-    lines.append(f"total: {bad} failures across {len(report)} records")
-    return "\n".join(lines)
+def _run(args: argparse.Namespace, g: CommutationGraph) -> object:
+    """Parse the command's words into elements of g, in argument order, and run it."""
+    for name in args.command.args.split():
+        if name not in _INT_ARGS:
+            dest = name.lstrip("-")
+            setattr(args, dest, element(g, getattr(args, dest)))
+    args.g = g
+    return args.command.run(args)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     problem = _validate_config(args)
     if problem is not None:
         print(f"raagkit: {problem}", file=sys.stderr)
@@ -335,31 +305,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         g = load_graph(args.graph)
-    except (OSError, ParseError) as err:
-        print(f"raagkit: {err}", file=sys.stderr)
-        return EXIT_PARSE
-
-    exit_code = EXIT_OK
-    try:
         if args.group == "check":
-            report = run_suite(
-                args.suite, g, samples=args.samples, seed=args.seed, max_len=args.max_len
-            )
-            if failure_count(report) > 0:
-                exit_code = EXIT_CHECK_FAILURES
-            if args.json:
-                doc = {
-                    "command": f"check {args.suite}",
-                    "config": _config_dict(args),
-                    "report": report,
-                }
-                print(json.dumps(doc, sort_keys=True))
-            else:
-                print(_format_report(report))
-            return exit_code
-        runner = {"eval": _run_eval, "dyn": _run_dyn, "struct": _run_struct}[args.group]
-        result = runner(args, g)
-    except (ParseError, ValueError) as err:
+            name, key, text = f"check {args.suite}", "report", _format_report
+            result = run_suite(args.suite, g, samples=args.samples, seed=args.seed, max_len=args.max_len)
+        else:
+            name, key, text = f"{args.group} {args.cmd}", "result", args.command.text
+            result = _run(args, g)
+    except (OSError, ParseError, ValueError) as err:
         print(f"raagkit: {err}", file=sys.stderr)
         return EXIT_PARSE
     except ResourceCapError as err:
@@ -370,17 +322,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INTERNAL
 
     if args.json:
-        doc = {
-            "command": f"{args.group} {args.cmd}",
-            "config": _config_dict(args),
-            "result": result,
-        }
-        print(json.dumps(doc, sort_keys=True))
+        out = json.dumps({"command": name, "config": _config_dict(args), key: result}, sort_keys=True)
     else:
-        text = _format_result(args.cmd, result)
-        if text:
-            print(text)
-    return exit_code
+        out = text(result)
+    if out:
+        try:
+            print(out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader went away: drop the rest, and point stdout at the
+            # null device so that the flush at exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if args.group == "check" and failure_count(result) > 0:
+        return EXIT_CHECK_FAILURES
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ from .presentation import (
     Word,
     code_letter,
     letter_code,
-    render_word,
+    render_codes,
 )
 
 
@@ -299,10 +299,12 @@ class GroupElement:
 
 def normalize(w: Word, g: CommutationGraph) -> GroupElement:
     """Canonical form of a raw word; constant on group-equal words."""
-    codes = [letter_code(l) for l in w.letters]
+    ngens = g.ngens
+    codes: list[int] = []
     for l in w.letters:
-        if l.gen >= g.ngens:
+        if l.gen >= ngens:
             raise ValueError(f"letter {l} is not valid for this graph")
+        codes.append(letter_code(l))
     return GroupElement(g, canon_codes(g, codes))
 
 
@@ -352,8 +354,4 @@ def support(x: GroupElement) -> set[int]:
 
 def render(x: GroupElement) -> str:
     """Tokens with run-length powers, e.g. ``a^3 b^-1``; the identity is ``1``."""
-    return render_word(Word(x.letters), x.graph)
-
-
-def render_codes(g: CommutationGraph, t) -> str:
-    return render_word(Word(tuple(code_letter(c) for c in t)), g)
+    return render_codes(x.graph, x.codes)

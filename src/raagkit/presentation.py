@@ -13,6 +13,7 @@ letter order i+ < i- < j+ < j- used everywhere downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import ParseError, ResourceCapError
 
@@ -229,22 +230,21 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
     return Word(tuple(letters))
 
 
-def render_word(w: Word, g: CommutationGraph) -> str:
-    """Pretty-print with run-length powers: ``a^3 b^-1``; the empty word is ``1``."""
-    if not w.letters:
+def render_codes(g: CommutationGraph, codes) -> str:
+    """Pretty-print letter codes with run-length powers: ``a^3 b^-1``; the empty word is ``1``."""
+    if not codes:
         return "1"
     chunks: list[str] = []
-    i = 0
-    letters = w.letters
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        count = (j - i) * letters[i].sign
-        name = g.generators[letters[i].gen]
+    for code, run in groupby(codes):
+        count = len(list(run)) * (-1 if code & 1 else 1)
+        name = g.generators[code >> 1]
         chunks.append(name if count == 1 else f"{name}^{count}")
-        i = j
     return " ".join(chunks)
+
+
+def render_word(w: Word, g: CommutationGraph) -> str:
+    """`render_codes` of a word of signed letters."""
+    return render_codes(g, [letter_code(l) for l in w.letters])
 
 
 def letter_order(g: CommutationGraph):

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from raagkit.order import ball
+from raagkit.dynamics import WContext, preceq
+from raagkit.order import ball, oracle_qdir
 from raagkit.presentation import CommutationGraph, load_graph
 
 GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
@@ -67,5 +68,46 @@ def balls(graphs):
             got = frozenset(ball(graphs[name], r))
             _BALL_CACHE[key] = got
         return got
+
+    return get
+
+
+def _shortlex(e):
+    return (len(e.codes), e.codes)
+
+
+@pytest.fixture(scope="session")
+def qdir_oracle(balls):
+    """qdir_oracle(name) -> list of `oracle_qdir(x, y, preceq_w)` on a fixture.
+
+    One answer per triple w in ball(2), x and y in ball(3), each ball in
+    shortlex order, listed in the loop order w, x, y.  The two tests that
+    compare `qdir` with the oracle read the same list, so the oracle runs once
+    per fixture and session.  Equal answers share one element.
+    """
+    tables: dict[str, list] = {}
+
+    def get(name: str) -> list:
+        if name not in tables:
+            b3 = sorted(balls(name, 3), key=_shortlex)
+            answers: list = []
+            shared: dict = {}
+            for w in sorted(balls(name, 2), key=_shortlex):
+                ctx = WContext(w)
+                memo: dict = {}
+
+                def pred(u, v, ctx=ctx, memo=memo):
+                    key = (u.codes, v.codes)
+                    got = memo.get(key)
+                    if got is None:
+                        got = memo[key] = preceq(ctx, u, v)
+                    return got
+
+                for x in b3:
+                    for y in b3:
+                        ref = oracle_qdir(x, y, pred)
+                        answers.append(shared.setdefault(ref.codes, ref))
+            tables[name] = answers
+        return tables[name]
 
     return get

@@ -1,6 +1,8 @@
 """End-to-end command-line runs via subprocess: outputs, exit codes, JSON."""
 
+import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -11,7 +13,8 @@ import pytest
 from raagkit import cli, sampling
 from raagkit.errors import InvariantViolationError
 
-GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+ROOT = Path(__file__).resolve().parent.parent
+GRAPHS = ROOT / "graphs"
 F2XZ = str(GRAPHS / "f2xz.txt")
 FREE2 = str(GRAPHS / "free2.txt")
 Z2 = str(GRAPHS / "z2.txt")
@@ -175,10 +178,11 @@ class TestExitCodes:
         assert run("eval", "pow", "-g", FREE2, "a", "-1000").stdout.strip() == "a^-1000"
 
     def test_internal_error_exit_code(self, monkeypatch, capsys):
-        def broken(args, g):
+        def broken(x):
             raise InvariantViolationError("certificate check failed")
 
-        monkeypatch.setattr(cli, "_run_eval", broken)
+        # The table row calls `render` through the module's globals.
+        monkeypatch.setattr(cli, "render", broken)
         code = cli.main(["eval", "normalize", "-g", F2XZ, "a"])
         out, err = capsys.readouterr()
         assert code == cli.EXIT_INTERNAL == 4
@@ -218,6 +222,28 @@ class TestExitCodes:
     def test_unknown_subcommand_usage_error(self):
         r = run("eval", "frobnicate", "-g", F2XZ, "a")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe_is_quiet(self, unbuffered):
+        # The reader closes its end before the child writes, so the child's
+        # first write fails: in print when stdout is unbuffered, in the flush
+        # after it otherwise.  The child stops quietly and keeps its own exit code.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "raagkit", "eval", "interval", "-g", F2XZ, "1", "a^6 c^6 b^6"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=300) == cli.EXIT_OK
+        assert "Traceback" not in err
+        assert err == ""
 
 
 class TestJson:
@@ -267,3 +293,46 @@ class TestCheckCommand:
         second = run(*argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+GOLDEN = json.loads(Path(__file__).resolve().with_name("cli_golden.json").read_text(encoding="utf-8"))
+
+
+class TestGolden:
+    """Outputs of every command, captured from `python -m raagkit` at the
+    repository root with COLUMNS=80 before the CLI was driven by its command
+    table: each command in text and --json mode, failing runs (bad words,
+    caps, domain and usage errors) and a usage error per command, whose usage
+    line shows the command's arguments in order."""
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN, ids=[f"{i:03d}-{c['argv'][0]}-{c['argv'][1]}" for i, c in enumerate(GOLDEN)]
+    )
+    def test_matches_capture(self, case, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = cli.main(case["argv"])
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+    def test_every_command_in_both_modes(self):
+        ran = {(tuple(c["argv"][:2]), "--json" in c["argv"]) for c in GOLDEN if c["code"] == 0}
+        for command in cli.COMMANDS:
+            for json_mode in (False, True):
+                assert ((command.group, command.name), json_mode) in ran
+
+    def test_table_and_parser_agree(self):
+        def commands(parser):
+            (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return action.choices
+
+        parsed = {
+            (group, name): sub.get_default("command")
+            for group, groupparser in commands(cli.build_parser()).items()
+            if group != "check"
+            for name, sub in commands(groupparser).items()
+        }
+        assert parsed == {(c.group, c.name): c for c in cli.COMMANDS}
