@@ -8,14 +8,19 @@ suites.  Every invocation names a graph file with -g.  Exit codes:
 4 internal error (an invariant check failed; a bug, reported in one line).
 
 Each `eval`, `dyn` and `struct` command is one row of COMMANDS, which both
-builds the argument parser and runs the command.  Rows look library
-functions up in this module's globals at call time, so a caller that
-rebinds those names (a tracer, a test) sees every call.
+builds the argument parser and runs the command.  This module imports only
+`errors`, `presentation` and `elements`; a row reaches every other library
+module through a proxy such as `order` below, which imports the module on
+first use and reads the function from it at call time.  So a command loads
+only the modules its row calls, and a caller that rebinds a library
+function (a tracer, a test) sees every call: in its home module for the
+lazily loaded modules, in this module's globals for `element`, `identity`,
+`render` and `load_graph`.
 
 With --json the output is a single document {command, config, result|report}
 with sorted keys; identical config yields byte-identical documents.  If the
-reader of standard output goes away, the rest is dropped quietly and the
-exit code is the command's own.
+reader of standard output or standard error goes away, the rest is dropped
+quietly and the exit code is the command's own.
 """
 
 from __future__ import annotations
@@ -26,45 +31,38 @@ import os
 import sys
 from typing import Callable, NamedTuple, Optional
 
-from .checks import SUITES, failure_count, run_suite
-from .conjugacy import (
-    DEFAULT_CONJUGACY_CAP,
-    conjugacy_witness,
-    cyclic_reduce,
-    max_root,
-    mth_root,
-)
-from .dynamics import (
-    dir_join,
-    equiv,
-    fold_phi,
-    in_axis,
-    in_axis_slice,
-    preceq,
-    psi_fold,
-    qdir,
-    sim,
-)
 from .elements import element, identity, render
-from .errors import InvariantViolationError, ParseError, ResourceCapError
-from .order import (
+from .errors import (
+    DEFAULT_CONJUGACY_CAP,
     DEFAULT_INTERVAL_CAP,
-    boundary,
-    interval,
-    is_orthogonal,
-    is_prefix,
-    join,
-    median,
-    meet,
+    InvariantViolationError,
+    ParseError,
+    ResourceCapError,
 )
 from .presentation import MAX_WORD_LETTERS, CommutationGraph, load_graph
-from .structure import (
-    center,
-    centralizer,
-    h_basis,
-    is_primitive,
-    prim_decompose,
-)
+
+
+class _Module:
+    """A library module, imported on the first attribute read.  Each read
+    runs ``from .<module> import <attr>``, so it sees functions rebound in
+    the module, and the import statement's path lets ``-X importtime``
+    report the module."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(__import__(self._name, globals(), None, (attr,), 1), attr)
+
+
+order = _Module("order")
+conjugacy = _Module("conjugacy")
+dynamics = _Module("dynamics")
+structure = _Module("structure")
+checks = _Module("checks")
+
+# The keys of checks.SUITES, for the parser; a test keeps the two equal.
+SUITE_NAMES = ("median-axioms", "agroup-axioms", "cyclic", "preorder", "folding", "qdir", "structure")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
@@ -110,7 +108,7 @@ def _format_report(report: list[dict]) -> str:
         lines.append(head)
         for failure in record["failures"]:
             lines.append("  " + " ".join(f"{k}={v!r}" for k, v in failure.items()))
-    bad = failure_count(report)
+    bad = checks.failure_count(report)
     lines.append(f"total: {bad} failures across {len(report)} records")
     return "\n".join(lines)
 
@@ -153,19 +151,19 @@ def _power(a: argparse.Namespace) -> str:
 
 
 def _cyclic_reduction(a: argparse.Namespace) -> dict:
-    r = cyclic_reduce(a.x)
+    r = conjugacy.cyclic_reduce(a.x)
     return {"conjugator": render(r.conjugator), "core": render(r.core)}
 
 
 def _conjugacy(a: argparse.Namespace) -> dict:
-    c = conjugacy_witness(a.x, a.y, cap=a.conj_cap)
+    c = conjugacy.conjugacy_witness(a.x, a.y, cap=a.conj_cap)
     return {"conjugate": c is not None, "certificate": _maybe_render(c)}
 
 
 def _root(a: argparse.Namespace):
     if a.m is not None:
-        return _maybe_render(mth_root(a.x, a.m))
-    p, m = max_root(a.x)
+        return _maybe_render(conjugacy.mth_root(a.x, a.m))
+    p, m = conjugacy.max_root(a.x)
     return {"p": render(p), "m": m}
 
 
@@ -174,18 +172,18 @@ COMMANDS = (
     Command("eval", "mul", "x y", lambda a: render(a.x * a.y)),
     Command("eval", "inv", "x", lambda a: render(~a.x)),
     Command("eval", "len", "x", lambda a: len(a.x)),
-    Command("eval", "meet", "x y", lambda a: render(meet(a.x, a.y))),
-    Command("eval", "median", "x y z", lambda a: render(median(a.x, a.y, a.z))),
-    Command("eval", "join", "x y", lambda a: _maybe_render(join(a.x, a.y))),
-    Command("eval", "orth", "x y", lambda a: is_orthogonal(a.x, a.y)),
-    Command("eval", "prefix", "x y", lambda a: is_prefix(a.x, a.y)),
+    Command("eval", "meet", "x y", lambda a: render(order.meet(a.x, a.y))),
+    Command("eval", "median", "x y z", lambda a: render(order.median(a.x, a.y, a.z))),
+    Command("eval", "join", "x y", lambda a: _maybe_render(order.join(a.x, a.y))),
+    Command("eval", "orth", "x y", lambda a: order.is_orthogonal(a.x, a.y)),
+    Command("eval", "prefix", "x y", lambda a: order.is_prefix(a.x, a.y)),
     Command(
         "eval", "interval", "x y",
-        lambda a: _sorted_renders(interval(a.x, a.y, cap=a.interval_cap).elements),
+        lambda a: _sorted_renders(order.interval(a.x, a.y, cap=a.interval_cap).elements),
     ),
     Command(
         "eval", "boundary", "x",
-        lambda a: _sorted_renders(boundary(interval(identity(a.g), a.x, cap=a.interval_cap))),
+        lambda a: _sorted_renders(order.boundary(order.interval(identity(a.g), a.x, cap=a.interval_cap))),
     ),
     Command("eval", "pow", "x n", _power),
     Command("dyn", "cyclred", "x", _cyclic_reduction),
@@ -193,21 +191,23 @@ COMMANDS = (
         "dyn", "conj", "x y", _conjugacy,
         lambda r: "false" if r["certificate"] is None else f"true\ncertificate: {r['certificate']}",
     ),
-    Command("dyn", "phi", "--w --x", lambda a: render(fold_phi(a.w, a.x))),
-    Command("dyn", "axis", "--w --x", lambda a: in_axis(a.w, a.x)),
-    Command("dyn", "preceq", "--w x y", lambda a: preceq(a.w, a.x, a.y)),
-    Command("dyn", "sim", "--w x y", lambda a: sim(a.w, a.x, a.y)),
-    Command("dyn", "equiv", "--w x y", lambda a: equiv(a.w, a.x, a.y, cap=a.interval_cap)),
-    Command("dyn", "qdir", "--w x y", lambda a: render(qdir(a.w, a.x, a.y))),
-    Command("dyn", "psi", "--w --a --x", lambda a: render(psi_fold(a.w, a.a, a.x))),
-    Command("dyn", "slice", "--w --a --x", lambda a: in_axis_slice(a.w, a.a, a.x)),
-    Command("dyn", "dirjoin", "--w --a x y", lambda a: render(dir_join(a.w, a.a, a.x, a.y))),
-    Command("struct", "prim", "x", lambda a: is_primitive(a.x)),
-    Command("struct", "decompose", "x", lambda a: prim_decompose(a.x).as_record(), _format_pairs),
-    Command("struct", "centralizer", "x", lambda a: centralizer(a.x).as_record()),
-    Command("struct", "hbasis", "x", lambda a: [render(t) for t in h_basis(a.x)]),
+    Command("dyn", "phi", "--w --x", lambda a: render(dynamics.fold_phi(a.w, a.x))),
+    Command("dyn", "axis", "--w --x", lambda a: dynamics.in_axis(a.w, a.x)),
+    Command("dyn", "preceq", "--w x y", lambda a: dynamics.preceq(a.w, a.x, a.y)),
+    Command("dyn", "sim", "--w x y", lambda a: dynamics.sim(a.w, a.x, a.y)),
+    Command("dyn", "equiv", "--w x y", lambda a: dynamics.equiv(a.w, a.x, a.y, cap=a.interval_cap)),
+    Command("dyn", "qdir", "--w x y", lambda a: render(dynamics.qdir(a.w, a.x, a.y))),
+    Command("dyn", "psi", "--w --a --x", lambda a: render(dynamics.psi_fold(a.w, a.a, a.x))),
+    Command("dyn", "slice", "--w --a --x", lambda a: dynamics.in_axis_slice(a.w, a.a, a.x)),
+    Command("dyn", "dirjoin", "--w --a x y", lambda a: render(dynamics.dir_join(a.w, a.a, a.x, a.y))),
+    Command("struct", "prim", "x", lambda a: structure.is_primitive(a.x)),
+    Command(
+        "struct", "decompose", "x", lambda a: structure.prim_decompose(a.x).as_record(), _format_pairs
+    ),
+    Command("struct", "centralizer", "x", lambda a: structure.centralizer(a.x).as_record()),
+    Command("struct", "hbasis", "x", lambda a: [render(t) for t in structure.h_basis(a.x)]),
     Command("struct", "root", "x -m", _root),
-    Command("struct", "center", "", lambda a: [a.g.generators[s] for s in center(a.g)]),
+    Command("struct", "center", "", lambda a: [a.g.generators[s] for s in structure.center(a.g)]),
 )
 
 
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     ck.add_argument("--samples", type=int, default=1000, help="samples per law (default 1000)")
     ck.add_argument("--max-len", type=int, default=8, dest="max_len", help="sampled word length cap")
-    ck.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    ck.add_argument("suite", choices=sorted(SUITE_NAMES) + ["all"])
 
     return parser
 
@@ -296,44 +296,50 @@ def _run(args: argparse.Namespace, g: CommutationGraph) -> object:
     return args.command.run(args)
 
 
+def _write(stream, text: str) -> None:
+    """Print one block of text.  If the reader has gone away, drop it and point
+    the stream at the null device, so that the flush at exit cannot fail again
+    and the exit code stays the command's own."""
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _fail(message: str, code: int) -> int:
+    _write(sys.stderr, f"raagkit: {message}")
+    return code
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     problem = _validate_config(args)
     if problem is not None:
-        print(f"raagkit: {problem}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(problem, EXIT_PARSE)
 
     try:
         g = load_graph(args.graph)
         if args.group == "check":
             name, key, text = f"check {args.suite}", "report", _format_report
-            result = run_suite(args.suite, g, samples=args.samples, seed=args.seed, max_len=args.max_len)
+            result = checks.run_suite(args.suite, g, samples=args.samples, seed=args.seed, max_len=args.max_len)
         else:
             name, key, text = f"{args.group} {args.cmd}", "result", args.command.text
             result = _run(args, g)
     except (OSError, ParseError, ValueError) as err:
-        print(f"raagkit: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(str(err), EXIT_PARSE)
     except ResourceCapError as err:
-        print(f"raagkit: {err}", file=sys.stderr)
-        return EXIT_CAP
+        return _fail(str(err), EXIT_CAP)
     except InvariantViolationError as err:
-        print(f"raagkit: internal error: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(f"internal error: {err}", EXIT_INTERNAL)
 
     if args.json:
         out = json.dumps({"command": name, "config": _config_dict(args), key: result}, sort_keys=True)
     else:
         out = text(result)
     if out:
-        try:
-            print(out)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader went away: drop the rest, and point stdout at the
-            # null device so that the flush at exit cannot fail again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    if args.group == "check" and failure_count(result) > 0:
+        _write(sys.stdout, out)
+    if args.group == "check" and checks.failure_count(result) > 0:
         return EXIT_CHECK_FAILURES
     return EXIT_OK
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
@@ -15,23 +14,23 @@ from .elements import (
     mul_codes,
     pow_codes,
 )
-from .errors import InvariantViolationError, ResourceCapError
+from .errors import DEFAULT_CONJUGACY_CAP, InvariantViolationError, ResourceCapError
 from .order import meet_codes
-from .presentation import CommutationGraph
-
-DEFAULT_CONJUGACY_CAP = 100_000
+from .presentation import CommutationGraph, _Frozen
 
 
-@dataclass(frozen=True)
-class CyclicReduction:
+class CyclicReduction(_Frozen):
     """w = conjugator · core · conjugator⁻¹ with all three pieces reduced.
 
     The conjugator is the common prefix of w and w⁻¹; the core is cyclically
     reduced and is the unique shortest element conjugate to w this way.
     """
 
-    conjugator: GroupElement
-    core: GroupElement
+    __slots__ = ("conjugator", "core")
+
+    def __init__(self, conjugator: GroupElement, core: GroupElement):
+        object.__setattr__(self, "conjugator", conjugator)
+        object.__setattr__(self, "core", core)
 
     def whole(self) -> GroupElement:
         u = self.conjugator

@@ -12,9 +12,8 @@ from typing import Union
 
 from .conjugacy import CyclicReduction, cyclic_reduce
 from .elements import GroupElement, _require_same_graph, inv_codes, mul_codes
-from .errors import InvariantViolationError
+from .errors import DEFAULT_INTERVAL_CAP, InvariantViolationError
 from .order import (
-    DEFAULT_INTERVAL_CAP,
     interval_codes,
     meet_codes,
     median_codes,

@@ -1,6 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default caps behind ResourceCapError."""
 
 from __future__ import annotations
+
+# Default enumeration caps: cells, balls and `equiv` in `order` and
+# `dynamics`; conjugate sets in `conjugacy`.  The CLI shows them as option
+# defaults without importing those modules.
+DEFAULT_INTERVAL_CAP = 20_000
+DEFAULT_CONJUGACY_CAP = 100_000
 
 
 class RaagError(Exception):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from .errors import InvariantViolationError, ResourceCapError
+from .errors import DEFAULT_INTERVAL_CAP, InvariantViolationError, ResourceCapError
 from .presentation import CommutationGraph
 from .elements import (
     GroupElement,
@@ -26,8 +26,6 @@ from .elements import (
     support_codes,
 )
 from .sampling import random_codes, stream
-
-DEFAULT_INTERVAL_CAP = 20_000
 
 
 # ---------------------------------------------------------------------------

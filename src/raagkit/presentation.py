@@ -12,7 +12,6 @@ letter order i+ < i- < j+ < j- used everywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import ParseError, ResourceCapError
@@ -23,28 +22,58 @@ _FORBIDDEN_NAME_CHARS = set("^',#")
 MAX_WORD_LETTERS = 1_000_000
 
 
-@dataclass(frozen=True)
-class SignedLetter:
+class _Frozen:
+    """An immutable record of the attributes named in ``__slots__``: equal,
+    hashed and shown by their values, as a frozen dataclass is."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SignedLetter(_Frozen):
     """A generator index with a sign, the atom of words."""
 
-    gen: int
-    sign: int
+    __slots__ = ("gen", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.gen < 0:
-            raise ValueError(f"generator index must be nonnegative, got {self.gen}")
+    def __init__(self, gen: int, sign: int):
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        if gen < 0:
+            raise ValueError(f"generator index must be nonnegative, got {gen}")
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "sign", sign)
 
     def inverse(self) -> "SignedLetter":
         return SignedLetter(self.gen, -self.sign)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """A raw, possibly unreduced sequence of signed letters."""
 
-    letters: tuple[SignedLetter, ...]
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[SignedLetter, ...]):
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -245,6 +245,29 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err == ""
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("eval", "normalize", "-g", F2XZ, "a^"), cli.EXIT_PARSE),
+            (("eval", "pow", "-g", FREE2, "a b", "500001"), cli.EXIT_CAP),
+        ],
+        ids=["parse-error", "cap"],
+    )
+    def test_closed_stderr_keeps_exit_code(self, argv, code):
+        # The reader closes standard error before the child writes its error
+        # line: the line is dropped and the exit code is still the error's own.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "raagkit", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        child.stderr.close()
+        out = child.stdout.read()
+        child.stdout.close()
+        assert child.wait(timeout=300) == code
+        assert out == ""
+
 
 class TestJson:
     def test_eval_document_shape(self):
@@ -293,6 +316,11 @@ class TestCheckCommand:
         second = run(*argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_suite_names_match_checks(self):
+        from raagkit import checks
+
+        assert cli.SUITE_NAMES == tuple(checks.SUITES)
 
 
 GOLDEN = json.loads(Path(__file__).resolve().with_name("cli_golden.json").read_text(encoding="utf-8"))
