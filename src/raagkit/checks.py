@@ -26,7 +26,7 @@ from .dynamics import (
     qdir,
     sim,
 )
-from .elements import GroupElement, identity, render
+from .elements import GroupElement, _require_same_graph, identity, inv_codes, mul_codes, render
 from .errors import InvariantViolationError, ResourceCapError
 from .order import (
     ball,
@@ -344,17 +344,19 @@ def check_qdir(
 def generated_within(graph, gens, radius):
     """All products of the given elements and their inverses, length-capped."""
     start = identity(graph)
-    seen = {start}
-    frontier = [start]
-    steps = list(gens) + [~t for t in gens]
+    for t in gens:
+        _require_same_graph(start, t)
+    steps = [t.codes for t in gens] + [inv_codes(graph, t.codes) for t in gens]
+    seen = {start.codes}
+    frontier = [start.codes]
     while frontier:
         cur = frontier.pop()
         for s in steps:
-            nxt = cur * s
+            nxt = mul_codes(graph, cur, s)
             if len(nxt) <= radius and nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return seen
+    return {GroupElement(graph, c) for c in seen}
 
 
 def check_structure(

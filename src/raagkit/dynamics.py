@@ -14,6 +14,7 @@ from .conjugacy import CyclicReduction, cyclic_reduce
 from .elements import GroupElement, _require_same_graph, inv_codes, mul_codes
 from .errors import DEFAULT_INTERVAL_CAP, InvariantViolationError
 from .order import (
+    _reduced_product,
     interval_codes,
     meet_codes,
     median_codes,
@@ -111,14 +112,19 @@ def in_axis(w: WLike, x: GroupElement) -> bool:
 
 
 def preceq(w: WLike, x: GroupElement, y: GroupElement) -> bool:
-    """The preorder attached to w: x below y when x⁻¹y is a prefix of x⁻¹wy."""
+    """The preorder attached to w: x below y when x⁻¹y is a prefix of x⁻¹wy.
+
+    With t = x⁻¹y and c = y⁻¹wy, x⁻¹wy = t·c, so t is a prefix of it exactly
+    when the product t·c is reduced, l(tc) = l(t) + l(c).  That is decided by
+    one cancellation sweep that stops at the first cancellation, without
+    building t·c.
+    """
     ctx = _ctx(w)
     _require_same_graph(ctx.w, x)
     _require_same_graph(ctx.w, y)
     g = ctx.graph
     t = mul_codes(g, ctx.inv(x.codes), y.codes)
-    c = ctx.conj(y.codes)
-    return len(t) + len(c) == len(mul_codes(g, t, c))
+    return _reduced_product(g, t, ctx.conj(y.codes))
 
 
 def sim(w: WLike, x: GroupElement, y: GroupElement) -> bool:
@@ -214,7 +220,7 @@ def in_axis_slice(w: WLike, a: GroupElement, x: GroupElement) -> bool:
     hi = mul_codes(g, ctx.power(n), a.codes)
     left = mul_codes(g, ctx.inv(lo), x.codes)
     right = mul_codes(g, ctx.inv(x.codes), hi)
-    return len(left) + len(right) == len(mul_codes(g, ctx.inv(lo), hi))
+    return _reduced_product(g, left, right)
 
 
 def psi_fold(w: WLike, a: GroupElement, x: GroupElement) -> GroupElement:

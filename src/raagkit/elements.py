@@ -25,8 +25,9 @@ word since all reduced words of an element have the same length and multiset
 of letters.  Both passes together cost O(n·d + n log n).
 
 Multiplying a canonical word on the right by a short one needs neither pass:
-each letter either deletes the last letter of its generator or is spliced
-in, in O(n) per letter (see `mul_codes`).
+the left factor is copied into one list once, and each letter of the right
+factor either deletes the last letter of its generator or is inserted in
+place, in O(n) per letter, with one tuple built at the end (see `mul_codes`).
 
 Module-level functions ending in `_codes` work on raw int tuples for speed;
 the GroupElement wrapper and the named operations are the public surface.
@@ -54,11 +55,12 @@ from .presentation import (
 # blockers; desk-scale products (two words of length <= 8) stay on the scan.
 SHORTLEX_SCAN_MAX = 16
 
-# Right factors up to this length are multiplied in letter by letter.  Each
-# splice scans back over the letters of a that commute with the new one, so
-# the worst case grows with l(a)·l(b): on K_8, a 1024-letter word times 16
-# copies of its first letter costs 1.3 times canon_codes.  Desk-scale
-# products (both factors of length <= 8) are 3-4 times cheaper this way.
+# Right factors up to this length are spliced letter by letter into one list
+# holding the left factor.  Each splice scans back over the letters that
+# commute with the new one, so the worst case grows with l(a)·l(b): on K_8, a
+# 1024-letter word times 16 copies of its first letter costs 1.3 times
+# canon_codes.  Desk-scale products (both factors of length <= 8) are 3-4
+# times cheaper this way.
 MUL_SPLICE_MAX = 16
 
 
@@ -168,43 +170,39 @@ def canon_codes(graph: CommutationGraph, codes) -> tuple[int, ...]:
     return shortlex_codes(graph, reduce_codes(graph, codes))
 
 
-def _mul_letter(graph: CommutationGraph, a: tuple[int, ...], s: int) -> tuple[int, ...]:
-    """Canonical form of a·s for canonical a, by one splice.
-
-    Let p be the last position whose generator blocks s.  When a[p] is s^-1 it
-    is a last letter of a and cancels; deleting a maximal element of the
-    dependence order leaves the greedy least order otherwise unchanged.
-    Otherwise s becomes available right after position p and, having no
-    successor, the greedy order emits it before the first later letter that
-    is larger than it.
-    """
-    block = graph.block_mask[s >> 1]
-    p = len(a) - 1
-    while p >= 0 and not (block >> (a[p] >> 1)) & 1:
-        p -= 1
-    if p >= 0 and a[p] == s ^ 1:
-        return a[:p] + a[p + 1:]
-    q = p + 1
-    n = len(a)
-    while q < n and a[q] < s:
-        q += 1
-    return a[:q] + (s,) + a[q:]
-
-
 def mul_codes(graph: CommutationGraph, a, b) -> tuple[int, ...]:
     """Canonical form of the product of two canonical tuples.
 
-    A right factor of at most MUL_SPLICE_MAX letters is spliced in one letter
-    at a time, O(l(a)) per letter; a longer one goes through canon_codes.
+    A right factor of at most MUL_SPLICE_MAX letters is spliced into one list
+    holding a, one letter s at a time, O(l(a)) per letter; a longer one goes
+    through canon_codes.  Each splice keeps the list canonical.  Let p be the
+    last position whose generator blocks s.  When the letter at p is s^-1 it
+    is a last letter of the word and cancels; deleting a maximal element of
+    the dependence order leaves the greedy least order otherwise unchanged.
+    Otherwise s becomes available right after position p and, having no
+    successor, the greedy order emits it before the first later letter that
+    is larger than it.
     """
     if not a:
         return tuple(b)
     if len(b) > MUL_SPLICE_MAX:
         return canon_codes(graph, a + b)
-    a = tuple(a)
+    block = graph.block_mask
+    out = list(a)
     for s in b:
-        a = _mul_letter(graph, a, s)
-    return a
+        m = block[s >> 1]
+        p = len(out) - 1
+        while p >= 0 and not (m >> (out[p] >> 1)) & 1:
+            p -= 1
+        if p >= 0 and out[p] == s ^ 1:
+            del out[p]
+            continue
+        q = p + 1
+        n = len(out)
+        while q < n and out[q] < s:
+            q += 1
+        out.insert(q, s)
+    return tuple(out)
 
 
 def inv_codes(graph: CommutationGraph, t) -> tuple[int, ...]:
@@ -285,7 +283,9 @@ class GroupElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.codes == other.codes and self.graph == other.graph
+        return self.codes == other.codes and (
+            self.graph is other.graph or self.graph == other.graph
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -320,7 +320,7 @@ def element(g: CommutationGraph, text: str) -> GroupElement:
 
 
 def _require_same_graph(x: GroupElement, y: GroupElement) -> None:
-    if x.graph != y.graph:
+    if x.graph is not y.graph and x.graph != y.graph:
         raise GraphMismatchError("elements come from different presentations")
 
 

@@ -91,6 +91,40 @@ def meet_codes(graph: CommutationGraph, a, b) -> tuple[int, ...]:
     return tuple(cancelled)
 
 
+def _reduced_product(graph: CommutationGraph, a, b) -> bool:
+    """Whether a·b is reduced, l(ab) = l(a) + l(b), for reduced a and b.
+
+    The sweep of `meet_codes` with a's letters as the pending entries and b
+    as the incoming word.  a and b are reduced, so a cancellation can only
+    pair a letter of b with a pending letter of a, and l(ab) = l(a) + l(b)
+    exactly when none occurs.  Up to the first cancellation nothing is
+    popped, so the top of a generator's pile is the last letter of a that
+    blocks it, unless a letter of b already hides it; a backward scan finds
+    that letter.  A letter hides its own generator, so each generator is
+    scanned for at most once.  The sweep returns False at the first
+    cancellation and True once the hidden mask covers every generator.
+    """
+    if not a or not b:
+        return True
+    block = graph.block_mask
+    full = (1 << graph.ngens) - 1
+    last = len(a) - 1
+    hidden = 0  # generators with a letter of b on top of their pile
+    for s in b:
+        g = s >> 1
+        m = block[g]
+        if not (hidden >> g) & 1:
+            p = last
+            while p >= 0 and not (m >> (a[p] >> 1)) & 1:
+                p -= 1
+            if p >= 0 and a[p] == s ^ 1:
+                return False
+        hidden |= m
+        if hidden == full:
+            return True
+    return True
+
+
 def median_codes(graph: CommutationGraph, x, y, z) -> tuple[int, ...]:
     """The median, as z·((z⁻¹x) ∩ (z⁻¹y))."""
     iz = inv_codes(graph, z)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conjugacy import cyclic_reduce, is_cyclically_reduced, max_root
-from .elements import GroupElement, canon_codes, render, support_codes
+from .elements import GroupElement, _require_same_graph, canon_codes, mul_codes, render, support_codes
 from .errors import InvariantViolationError
 from .presentation import CommutationGraph
 
@@ -167,7 +167,9 @@ def centralizer(w: GroupElement) -> CentralizerPresentation:
 
 def in_centralizer(w: GroupElement, x: GroupElement) -> bool:
     """Whether x commutes with w."""
-    return x * w == w * x
+    _require_same_graph(w, x)
+    g = w.graph
+    return mul_codes(g, x.codes, w.codes) == mul_codes(g, w.codes, x.codes)
 
 
 def center(g: CommutationGraph) -> list[int]:

@@ -58,14 +58,14 @@ _BALL_CACHE: dict[tuple[int, int], frozenset] = {}
 
 
 @pytest.fixture(scope="session")
-def balls(graphs):
+def balls(kernel_graphs):
     """balls(name, r) -> frozenset of GroupElement, cached per session."""
 
     def get(name: str, r: int):
         key = (name, r)
         got = _BALL_CACHE.get(key)
         if got is None:
-            got = frozenset(ball(graphs[name], r))
+            got = frozenset(ball(kernel_graphs[name], r))
             _BALL_CACHE[key] = got
         return got
 

@@ -21,6 +21,11 @@ algorithms are validated against independent routes:
 - `ref_root_candidates`: an m-th root of a cyclically reduced word by a
   depth-first search over its prefixes, the reference for the
   occurrence-block root of `mth_root` and `max_root`.
+- `ref_preceq`, `ref_in_centralizer`, `ref_generated_within`: the
+  definitions on `GroupElement`s, the references for the code-tuple versions
+  in the library: x below y for w when l(x⁻¹y) + l(y⁻¹wy) = l(x⁻¹wy), x
+  commuting with w when xw = wx, and the bounded subgroup search by element
+  products.
 
 Layering: brute_prefixes and everything below rely on the canonical-form
 engine, which is itself validated against the rewriting closure first.
@@ -31,7 +36,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from raagkit.elements import canon_codes, fl_codes, inv_codes, mul_codes, pow_codes
+from raagkit.elements import canon_codes, fl_codes, identity, inv_codes, mul_codes, pow_codes
 from raagkit.order import meet_codes
 from raagkit.presentation import CommutationGraph
 
@@ -267,3 +272,32 @@ def ref_root_candidates(graph: CommutationGraph, v: tuple[int, ...], m: int) -> 
             need2[s] -= 1
             stack.append((p + (s,), rest2, need2))
     return None
+
+
+def ref_preceq(w, x, y) -> bool:
+    """x below y for w: t = x⁻¹y is a prefix of t·c = x⁻¹wy, c = y⁻¹wy, by lengths."""
+    t = ~x * y
+    c = ~y * w * y
+    return len(t) + len(c) == len(t * c)
+
+
+def ref_in_centralizer(w, x) -> bool:
+    """x commutes with w."""
+    return x * w == w * x
+
+
+def ref_generated_within(graph: CommutationGraph, gens, radius: int) -> set:
+    """Every element reached from 1 by right multiplication with the generators
+    and their inverses, through elements of length at most radius."""
+    start = identity(graph)
+    seen = {start}
+    frontier = [start]
+    steps = list(gens) + [~t for t in gens]
+    while frontier:
+        cur = frontier.pop()
+        for s in steps:
+            nxt = cur * s
+            if len(nxt) <= radius and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import KERNEL_GRAPHS
-from oracles_bf import ref_stabilized_gate
+from oracles_bf import ref_preceq, ref_stabilized_gate
 from raagkit.conjugacy import cyclic_reduce, is_cyclically_reduced
 from raagkit.dynamics import (
     WContext,
@@ -147,6 +147,22 @@ class TestPreceq:
                 for z in b2:
                     if (y, z) in below:
                         assert (x, z) in below
+
+    @pytest.mark.parametrize("name", FIXTURES + ["C5"])
+    def test_matches_reference_on_ball3_triples(self, balls, name):
+        # The early-exit sweep against the length of the built product, on
+        # triples (w, x, y) drawn from ball(3).
+        b3 = sorted(balls(name, 3), key=lambda e: (len(e.codes), e.codes))
+        rng = stream(50, f"preceq-ref:{name}")
+        seen = set()
+        for _ in range(40):
+            ctx = WContext(rng.choice(b3))
+            for _ in range(100):
+                x, y = rng.choice(b3), rng.choice(b3)
+                got = preceq(ctx, x, y)
+                assert got == ref_preceq(ctx.w, x, y), (ctx.w, x, y)
+                seen.add(got)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_conjugation_equivariance(self, graphs, name):

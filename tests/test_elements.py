@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import KERNEL_GRAPHS
 from oracles_bf import brute_canonical, minimal_multiset, rewriting_closure
+from raagkit.checks import generated_within
 from raagkit.elements import (
     MUL_SPLICE_MAX,
     SHORTLEX_SCAN_MAX,
@@ -27,7 +28,8 @@ from raagkit.elements import (
     support,
 )
 from raagkit.errors import GraphMismatchError
-from raagkit.presentation import SignedLetter, Word, code_letter, parse_word
+from raagkit.presentation import CommutationGraph, SignedLetter, Word, code_letter, parse_word
+from raagkit.structure import in_centralizer
 
 ORACLE_SAMPLES = 10_000
 ORACLE_MAX_LEN = 6
@@ -252,6 +254,22 @@ class TestGraphMismatch:
 
     def test_eq_is_false_across_graphs(self, free2, z2):
         assert element(free2, "a") != element(z2, "a")
+
+    def test_in_centralizer_rejects(self, free2, z2):
+        with pytest.raises(GraphMismatchError):
+            in_centralizer(element(free2, "a"), element(z2, "a"))
+
+    def test_equal_graphs_are_one_presentation(self, free2):
+        # A second copy of a graph is the same presentation, not a mismatch.
+        copy = CommutationGraph(list(free2.generators), set(free2.commuting_pairs))
+        assert copy is not free2
+        assert element(copy, "a b") == element(free2, "a b")
+        assert element(copy, "a") * element(free2, "b") == element(free2, "a b")
+        assert not in_centralizer(element(copy, "a"), element(free2, "b"))
+
+    def test_generated_within_rejects(self, free2, z2):
+        with pytest.raises(GraphMismatchError):
+            generated_within(free2, [element(z2, "a")], 2)
 
 
 @settings(deadline=None, max_examples=300)

@@ -10,6 +10,7 @@ from oracles_bf import brute_interval, brute_median, brute_prefixes, ref_meet
 from raagkit.elements import canon_codes, element, identity, inv_codes, mul_codes
 from raagkit.errors import InvariantViolationError, ResourceCapError
 from raagkit.order import (
+    _reduced_product,
     ball,
     ball_codes,
     boundary,
@@ -52,6 +53,41 @@ class TestPrefixFrozen:
             for y in balls("f2xz", 3):
                 if is_prefix(x, y) and is_prefix(y, x):
                     assert x == y
+
+
+class TestReducedProduct:
+    def test_frozen(self, free2, f2xz):
+        def reduced(g, x, y):
+            return _reduced_product(g, element(g, x).codes, element(g, y).codes)
+
+        assert reduced(free2, "a", "b")
+        assert not reduced(free2, "a b", "b^-1 a")
+        # b hides every generator before a^-1 arrives, so nothing cancels.
+        assert reduced(free2, "a", "b a^-1")
+        assert not reduced(f2xz, "a c", "a^-1")
+        assert reduced(f2xz, "a c", "b a^-1")
+        assert reduced(f2xz, "1", "a") and reduced(f2xz, "a", "1")
+
+    def test_matches_length_of_product(self, kernel_graphs):
+        # Long random pairs on G(20, 0.3), half of them with b starting by
+        # the inverse of a suffix of a, so both answers occur and the sweep
+        # often stops early once b's letters hide every generator.
+        g = kernel_graphs["G20"]
+        rng = random.Random("reduced-product")
+
+        def word(n):
+            return canon_codes(g, [rng.randrange(2 * g.ngens) for _ in range(n)])
+
+        seen = set()
+        for _ in range(200):
+            a = word(rng.randint(0, 256))
+            b = word(rng.randint(0, 256))
+            if rng.random() < 0.5:
+                b = canon_codes(g, inv_codes(g, a[rng.randint(0, len(a)):]) + b)
+            got = _reduced_product(g, a, b)
+            assert got == (len(mul_codes(g, a, b)) == len(a) + len(b))
+            seen.add(got)
+        assert seen == {True, False}
 
 
 class TestMeet:

@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+from oracles_bf import ref_generated_within, ref_in_centralizer
 from raagkit.checks import generated_within
 from raagkit.conjugacy import cyclic_reduce, is_cyclically_reduced, max_root
 from raagkit.dynamics import WContext, fold_phi, in_axis, preceq
@@ -203,6 +204,32 @@ class TestCentralizer:
                 reached = generated_within(g, gens, radius)
                 for x in commuting:
                     assert x in reached, (render(w), render(x))
+
+    @pytest.mark.parametrize("name", ["free2", "z2", "f2xz", "C5"])
+    def test_in_centralizer_matches_reference(self, balls, name):
+        # Every pair (w, x) with w in ball(2) and x in ball(3).
+        b3 = sorted(balls(name, 3), key=lambda e: (len(e.codes), e.codes))
+        seen = set()
+        for w in balls(name, 2):
+            for x in b3:
+                got = in_centralizer(w, x)
+                assert got == ref_in_centralizer(w, x), (render(w), render(x))
+                seen.add(got)
+        assert seen == ({True} if name == "z2" else {True, False})
+
+    @pytest.mark.parametrize("name", ["free2", "z2", "f2xz", "C5"])
+    def test_generated_within_matches_reference(self, kernel_graphs, balls, name):
+        # Centralizer generators, which generate few elements, and two ball
+        # elements, which on a non-abelian graph fill much of ball(3).
+        g = kernel_graphs[name]
+        b2 = sorted(balls(name, 2), key=lambda e: (len(e.codes), e.codes))
+        rng = stream(51, f"generated-ref:{name}")
+        for _ in range(12):
+            z = centralizer(rng.choice(b2[1:]))
+            gens = list(z.raag_generators) + list(z.abelian_generators)
+            assert generated_within(g, gens, 4) == ref_generated_within(g, gens, 4)
+            gens = [rng.choice(b2), rng.choice(b2)]
+            assert generated_within(g, gens, 3) == ref_generated_within(g, gens, 3)
 
     def test_powers_share_centralizers(self, graphs, balls):
         rng = stream(11, "centralizer-of-powers")
