@@ -48,8 +48,6 @@ _EXPORTS = {
         "Interval",
         "ball",
         "boundary",
-        "check_agroup_axioms",
-        "check_median_axioms",
         "interval",
         "is_orthogonal",
         "is_orthogonal_definitional",
@@ -94,7 +92,7 @@ _EXPORTS = {
         "prim_decompose",
         "s_perp_set",
     ),
-    "checks": ("SUITES", "failure_count", "run_suite"),
+    "checks": ("SUITES", "check_agroup_axioms", "check_median_axioms", "failure_count", "run_suite"),
 }
 
 # Exported name -> the module that defines it.

@@ -1,4 +1,4 @@
-"""Seeded invariant suites over the dynamic and structural layers.
+"""Seeded invariant suites over the order, dynamic and structural layers.
 
 Each suite draws reproducible random instances and returns one record per
 law: {"axiom": name, "samples": count, "failures": [counterexample word
@@ -11,6 +11,7 @@ yields identical reports.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from .conjugacy import cyclic_reduce, is_cyclically_reduced
 from .dynamics import (
@@ -30,14 +31,18 @@ from .elements import GroupElement, _require_same_graph, identity, inv_codes, mu
 from .errors import InvariantViolationError, ResourceCapError
 from .order import (
     ball,
-    check_agroup_axioms,
-    check_median_axioms,
     interval,
+    interval_codes,
     is_orthogonal,
     join,
+    join_codes,
     median,
+    median_codes,
     meet,
+    meet_codes,
     oracle_qdir,
+    orth_codes_definitional,
+    prefix_codes,
 )
 from .presentation import CommutationGraph
 from .sampling import random_codes, stream
@@ -52,6 +57,129 @@ def _fail(**words) -> dict:
 
 def _draw(rng, g: CommutationGraph, max_len: int, min_len: int = 0) -> GroupElement:
     return GroupElement(g, random_codes(rng, g, max_len, min_len))
+
+
+def check_median_axioms(g: CommutationGraph, samples: int = 1000, seed: int = 0, max_len: int = 8) -> list[dict]:
+    """Random instances of the three median laws; failures are counterexample words.
+
+    One instance draws a triple and a quintuple and asserts symmetry,
+    absorption, and selfdistributivity.
+    """
+    rng = stream(seed, "median-axioms")
+    el = partial(GroupElement, g)
+    sym_fail: list[dict] = []
+    abs_fail: list[dict] = []
+    dist_fail: list[dict] = []
+    for _ in range(samples):
+        x = random_codes(rng, g, max_len)
+        y = random_codes(rng, g, max_len)
+        z = random_codes(rng, g, max_len)
+        u = random_codes(rng, g, max_len)
+        v = random_codes(rng, g, max_len)
+        m = median_codes(g, x, y, z)
+        if any(
+            median_codes(g, p, q, r) != m
+            for p, q, r in ((x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x))
+        ):
+            sym_fail.append(_fail(x=el(x), y=el(y), z=el(z)))
+        if median_codes(g, x, y, x) != x:
+            abs_fail.append(_fail(x=el(x), y=el(y)))
+        lhs = median_codes(g, x, y, median_codes(g, z, u, v))
+        rhs = median_codes(
+            g,
+            median_codes(g, x, y, z),
+            median_codes(g, x, y, u),
+            median_codes(g, x, y, v),
+        )
+        if lhs != rhs:
+            dist_fail.append(_fail(x=el(x), y=el(y), z=el(z), u=el(u), v=el(v)))
+    return [
+        {"axiom": "median-symmetry", "samples": samples, "failures": sym_fail},
+        {"axiom": "median-absorption", "samples": samples, "failures": abs_fail},
+        {"axiom": "median-selfdistributivity", "samples": samples, "failures": dist_fail},
+    ]
+
+
+def check_agroup_axioms(g: CommutationGraph, samples: int = 1000, seed: int = 0, max_len: int = 8) -> list[dict]:
+    """Hypothesis-satisfying instances of the four order axioms of this group class.
+
+    orthogonal-product-law: x ⊥ y ⟹ x ∪ y = xy = yx (orthogonality tested by
+    definition here, not by the support fast path).
+    inverse-prefix-transfer: x ∪ y ≠ ∞ and x⁻¹ ⊂ y⁻¹ ⟹ x ⊂ y.
+    meet-triviality-transfer: x∩y = x⁻¹∩z = y⁻¹∩z = 1 ⟹ xz ∩ yz ⊂ z.
+    no-inverse-join: x ∪ x⁻¹ ≠ ∞ ⟹ x = 1 (every sample checks the implication;
+    the hypothesis forces x = 1, which is the axiom's content).
+    """
+    rng = stream(seed, "agroup-axioms")
+    el = partial(GroupElement, g)
+    attempts_cap = samples * 10_000
+
+    perp_fail: list[dict] = []
+    found = 0
+    attempts = 0
+    while found < samples:
+        attempts += 1
+        if attempts > attempts_cap:
+            raise ResourceCapError("rejection sampling for orthogonal pairs", attempts_cap, "attempts")
+        x = random_codes(rng, g, max_len)
+        y = random_codes(rng, g, max_len)
+        if not orth_codes_definitional(g, x, y):
+            continue
+        found += 1
+        xy = mul_codes(g, x, y)
+        if xy != mul_codes(g, y, x) or join_codes(g, x, y) != xy:
+            perp_fail.append(_fail(x=el(x), y=el(y)))
+
+    a1_fail: list[dict] = []
+    found = 0
+    attempts = 0
+    while found < samples:
+        attempts += 1
+        if attempts > attempts_cap:
+            raise ResourceCapError("constructive sampling for the inverse-prefix axiom", attempts_cap, "attempts")
+        y = random_codes(rng, g, max_len)
+        iy = inv_codes(g, y)
+        prefixes = interval_codes(g, iy)
+        x = inv_codes(g, rng.choice(prefixes))
+        if join_codes(g, x, y) is None:
+            continue
+        found += 1
+        if not prefix_codes(g, x, y):
+            a1_fail.append(_fail(x=el(x), y=el(y)))
+
+    a2_fail: list[dict] = []
+    found = 0
+    attempts = 0
+    while found < samples:
+        attempts += 1
+        if attempts > attempts_cap:
+            raise ResourceCapError("rejection sampling for the meet-triviality axiom", attempts_cap, "attempts")
+        x = random_codes(rng, g, max_len)
+        y = random_codes(rng, g, max_len)
+        z = random_codes(rng, g, max_len)
+        if meet_codes(g, x, y):
+            continue
+        if meet_codes(g, inv_codes(g, x), z):
+            continue
+        if meet_codes(g, inv_codes(g, y), z):
+            continue
+        found += 1
+        lhs = meet_codes(g, mul_codes(g, x, z), mul_codes(g, y, z))
+        if not prefix_codes(g, lhs, z):
+            a2_fail.append(_fail(x=el(x), y=el(y), z=el(z)))
+
+    a4_fail: list[dict] = []
+    for _ in range(samples):
+        x = random_codes(rng, g, max_len)
+        if join_codes(g, x, inv_codes(g, x)) is not None and x != ():
+            a4_fail.append(_fail(x=el(x)))
+
+    return [
+        {"axiom": "orthogonal-product-law", "samples": samples, "failures": perp_fail},
+        {"axiom": "inverse-prefix-transfer", "samples": samples, "failures": a1_fail},
+        {"axiom": "meet-triviality-transfer", "samples": samples, "failures": a2_fail},
+        {"axiom": "no-inverse-join", "samples": samples, "failures": a4_fail},
+    ]
 
 
 def check_cyclic(
@@ -257,6 +385,13 @@ def check_folding(
     ]
 
 
+def enumerated_equiv(w, x: GroupElement, y: GroupElement) -> bool:
+    """The definition of `equiv`: no two distinct points of the cell [x, y]
+    are sim-related for w.  The cell is enumerated under the interval cap."""
+    cell = list(interval(x, y).elements)
+    return not any(sim(w, u, v) for u, v in itertools.combinations(cell, 2))
+
+
 def check_qdir(
     g: CommutationGraph, samples: int = 1000, seed: int = 0, max_len: int = 8
 ) -> list[dict]:
@@ -295,7 +430,7 @@ def check_qdir(
         ctx = WContext(w)
         x = _draw(rng, g, min(max_len, 3))
         y = _draw(rng, g, min(max_len, 3))
-        if equiv(ctx, x, y) != (qdir(ctx, x, y) == qdir(ctx, y, x)):
+        if equiv(ctx, x, y) != enumerated_equiv(ctx, x, y):
             cong_fail.append(_fail(w=w, x=x, y=y))
 
     both_fail: list[dict] = []

@@ -195,7 +195,7 @@ COMMANDS = (
     Command("dyn", "axis", "--w --x", lambda a: dynamics.in_axis(a.w, a.x)),
     Command("dyn", "preceq", "--w x y", lambda a: dynamics.preceq(a.w, a.x, a.y)),
     Command("dyn", "sim", "--w x y", lambda a: dynamics.sim(a.w, a.x, a.y)),
-    Command("dyn", "equiv", "--w x y", lambda a: dynamics.equiv(a.w, a.x, a.y, cap=a.interval_cap)),
+    Command("dyn", "equiv", "--w x y", lambda a: dynamics.equiv(a.w, a.x, a.y)),
     Command("dyn", "qdir", "--w x y", lambda a: render(dynamics.qdir(a.w, a.x, a.y))),
     Command("dyn", "psi", "--w --a --x", lambda a: render(dynamics.psi_fold(a.w, a.a, a.x))),
     Command("dyn", "slice", "--w --a --x", lambda a: dynamics.in_axis_slice(a.w, a.a, a.x)),
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_INTERVAL_CAP,
         dest="interval_cap",
-        help="cell enumeration cap",
+        help="cap on the cells that interval and boundary enumerate",
     )
     common.add_argument(
         "--conj-cap",

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-# Default enumeration caps: cells, balls and `equiv` in `order` and
-# `dynamics`; conjugate sets in `conjugacy`.  The CLI shows them as option
-# defaults without importing those modules.
+# Default enumeration caps: cells and balls in `order` (`interval`,
+# `boundary`, `ball`); conjugate sets in `conjugacy`.  The CLI shows them as
+# option defaults without importing those modules.
 DEFAULT_INTERVAL_CAP = 20_000
 DEFAULT_CONJUGACY_CAP = 100_000
 

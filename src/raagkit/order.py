@@ -4,8 +4,7 @@ The canonical length induces the prefix order x ⊂ y ⟺ l(x) + l(x⁻¹y) = l(
 This module decides it and computes the derived structure: greatest common
 prefixes (meet), medians, joins (partial), orthogonality, geodesic intervals
 (cells), cell boundaries, metric balls, and the interval-based oracle for
-quasidirections. It also hosts the randomized axiom checkers for the median
-laws and for the order axioms every group of this class satisfies.
+quasidirections.
 
 Tuple-level functions (suffix `_codes`) are the fast path shared by the rest
 of the package; same-named wrappers operate on GroupElement.
@@ -22,10 +21,8 @@ from .elements import (
     _require_same_graph,
     inv_codes,
     mul_codes,
-    render_codes,
     support_codes,
 )
-from .sampling import random_codes, stream
 
 
 # ---------------------------------------------------------------------------
@@ -324,132 +321,3 @@ def oracle_qdir(
     for u in upper[1:]:
         acc = median_codes(graph, acc, a.codes, u.codes)
     return GroupElement(graph, acc)
-
-
-# ---------------------------------------------------------------------------
-# randomized axiom checkers
-
-
-def _failure(graph: CommutationGraph, **words) -> dict:
-    return {name: render_codes(graph, t) for name, t in words.items()}
-
-
-def check_median_axioms(g: CommutationGraph, samples: int = 1000, seed: int = 0, max_len: int = 8) -> list[dict]:
-    """Random instances of the three median laws; failures are counterexample words.
-
-    One instance draws a triple and a quintuple and asserts symmetry,
-    absorption, and selfdistributivity.
-    """
-    rng = stream(seed, "median-axioms")
-    sym_fail: list[dict] = []
-    abs_fail: list[dict] = []
-    dist_fail: list[dict] = []
-    for _ in range(samples):
-        x = random_codes(rng, g, max_len)
-        y = random_codes(rng, g, max_len)
-        z = random_codes(rng, g, max_len)
-        u = random_codes(rng, g, max_len)
-        v = random_codes(rng, g, max_len)
-        m = median_codes(g, x, y, z)
-        if any(
-            median_codes(g, p, q, r) != m
-            for p, q, r in ((x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x))
-        ):
-            sym_fail.append(_failure(g, x=x, y=y, z=z))
-        if median_codes(g, x, y, x) != x:
-            abs_fail.append(_failure(g, x=x, y=y))
-        lhs = median_codes(g, x, y, median_codes(g, z, u, v))
-        rhs = median_codes(
-            g,
-            median_codes(g, x, y, z),
-            median_codes(g, x, y, u),
-            median_codes(g, x, y, v),
-        )
-        if lhs != rhs:
-            dist_fail.append(_failure(g, x=x, y=y, z=z, u=u, v=v))
-    return [
-        {"axiom": "median-symmetry", "samples": samples, "failures": sym_fail},
-        {"axiom": "median-absorption", "samples": samples, "failures": abs_fail},
-        {"axiom": "median-selfdistributivity", "samples": samples, "failures": dist_fail},
-    ]
-
-
-def check_agroup_axioms(g: CommutationGraph, samples: int = 1000, seed: int = 0, max_len: int = 8) -> list[dict]:
-    """Hypothesis-satisfying instances of the four order axioms of this group class.
-
-    orthogonal-product-law: x ⊥ y ⟹ x ∪ y = xy = yx (orthogonality tested by
-    definition here, not by the support fast path).
-    inverse-prefix-transfer: x ∪ y ≠ ∞ and x⁻¹ ⊂ y⁻¹ ⟹ x ⊂ y.
-    meet-triviality-transfer: x∩y = x⁻¹∩z = y⁻¹∩z = 1 ⟹ xz ∩ yz ⊂ z.
-    no-inverse-join: x ∪ x⁻¹ ≠ ∞ ⟹ x = 1 (every sample checks the implication;
-    the hypothesis forces x = 1, which is the axiom's content).
-    """
-    rng = stream(seed, "agroup-axioms")
-    attempts_cap = samples * 10_000
-
-    perp_fail: list[dict] = []
-    found = 0
-    attempts = 0
-    while found < samples:
-        attempts += 1
-        if attempts > attempts_cap:
-            raise ResourceCapError("rejection sampling for orthogonal pairs", attempts_cap, "attempts")
-        x = random_codes(rng, g, max_len)
-        y = random_codes(rng, g, max_len)
-        if not orth_codes_definitional(g, x, y):
-            continue
-        found += 1
-        xy = mul_codes(g, x, y)
-        if xy != mul_codes(g, y, x) or join_codes(g, x, y) != xy:
-            perp_fail.append(_failure(g, x=x, y=y))
-
-    a1_fail: list[dict] = []
-    found = 0
-    attempts = 0
-    while found < samples:
-        attempts += 1
-        if attempts > attempts_cap:
-            raise ResourceCapError("constructive sampling for the inverse-prefix axiom", attempts_cap, "attempts")
-        y = random_codes(rng, g, max_len)
-        iy = inv_codes(g, y)
-        prefixes = interval_codes(g, iy)
-        x = inv_codes(g, rng.choice(prefixes))
-        if join_codes(g, x, y) is None:
-            continue
-        found += 1
-        if not prefix_codes(g, x, y):
-            a1_fail.append(_failure(g, x=x, y=y))
-
-    a2_fail: list[dict] = []
-    found = 0
-    attempts = 0
-    while found < samples:
-        attempts += 1
-        if attempts > attempts_cap:
-            raise ResourceCapError("rejection sampling for the meet-triviality axiom", attempts_cap, "attempts")
-        x = random_codes(rng, g, max_len)
-        y = random_codes(rng, g, max_len)
-        z = random_codes(rng, g, max_len)
-        if meet_codes(g, x, y):
-            continue
-        if meet_codes(g, inv_codes(g, x), z):
-            continue
-        if meet_codes(g, inv_codes(g, y), z):
-            continue
-        found += 1
-        lhs = meet_codes(g, mul_codes(g, x, z), mul_codes(g, y, z))
-        if not prefix_codes(g, lhs, z):
-            a2_fail.append(_failure(g, x=x, y=y, z=z))
-
-    a4_fail: list[dict] = []
-    for _ in range(samples):
-        x = random_codes(rng, g, max_len)
-        if join_codes(g, x, inv_codes(g, x)) is not None and x != ():
-            a4_fail.append(_failure(g, x=x))
-
-    return [
-        {"axiom": "orthogonal-product-law", "samples": samples, "failures": perp_fail},
-        {"axiom": "inverse-prefix-transfer", "samples": samples, "failures": a1_fail},
-        {"axiom": "meet-triviality-transfer", "samples": samples, "failures": a2_fail},
-        {"axiom": "no-inverse-join", "samples": samples, "failures": a4_fail},
-    ]

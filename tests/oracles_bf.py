@@ -15,9 +15,9 @@ algorithms are validated against independent routes:
 - `ref_random_codes`: the r-th normal form of length L in lexicographic
   order, with the letters forbidden after a word read off the word by a
   backward scan, the reference for the counted automaton of `random_codes`.
-- `ref_stabilized_gate`: a gate limit found by evaluating n = 0, 1, 2, …
-  until a long streak of equal values, the reference for the closed-form
-  index of `qdir` and `dir_join`.
+- `ref_stabilized`: a limit found by evaluating n = 0, 1, 2, … until a long
+  streak of equal values, the reference for the closed-form index of `qdir`,
+  `dir_join` and `psi_fold`.
 - `ref_root_candidates`: an m-th root of a cyclically reduced word by a
   depth-first search over its prefixes, the reference for the
   occurrence-block root of `mth_root` and `max_root`.
@@ -37,7 +37,6 @@ import random
 from collections import Counter
 
 from raagkit.elements import canon_codes, fl_codes, identity, inv_codes, mul_codes, pow_codes
-from raagkit.order import meet_codes
 from raagkit.presentation import CommutationGraph
 
 
@@ -219,19 +218,17 @@ def ref_random_codes(rng: random.Random, graph: CommutationGraph, max_len: int, 
     return w
 
 
-def ref_stabilized_gate(ctx, x: tuple[int, ...], y: tuple[int, ...], target) -> tuple[int, ...]:
-    """The limit of x·(x⁻¹y ∩ target(n)) for n = 0, 1, 2, … under the WContext ctx.
+def ref_stabilized(ctx, x: tuple[int, ...], y: tuple[int, ...], term) -> tuple[int, ...]:
+    """The limit of term(n) for n = 0, 1, 2, … under the WContext ctx.
 
     Accepted after l(x⁻¹y) + 2 equal consecutive values; gives up after
     8·(l(x) + l(y) + l(w) + 4) steps.
     """
-    g = ctx.graph
-    ixy = mul_codes(g, inv_codes(g, x), y)
-    need = len(ixy) + 2
+    need = len(mul_codes(ctx.graph, inv_codes(ctx.graph, x), y)) + 2
     last = None
     streak = 0
     for n in range(8 * (len(x) + len(y) + len(ctx.w.codes) + 4)):
-        m = mul_codes(g, x, meet_codes(g, ixy, target(n)))
+        m = term(n)
         if m == last:
             streak += 1
             if streak >= need:
@@ -239,7 +236,7 @@ def ref_stabilized_gate(ctx, x: tuple[int, ...], y: tuple[int, ...], target) -> 
         else:
             last = m
             streak = 1
-    raise AssertionError("gate sequence failed to stabilize")
+    raise AssertionError("sequence failed to stabilize")
 
 
 def ref_root_candidates(graph: CommutationGraph, v: tuple[int, ...], m: int) -> tuple[int, ...] | None:

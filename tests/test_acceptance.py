@@ -14,8 +14,10 @@ import time
 from pathlib import Path
 
 from raagkit.checks import (
+    check_agroup_axioms,
     check_cyclic,
     check_folding,
+    check_median_axioms,
     check_preorder,
     check_structure,
     generated_within,
@@ -24,8 +26,6 @@ from raagkit.conjugacy import are_conjugate, conjugacy_witness
 from raagkit.dynamics import WContext, fold_phi, qdir
 from raagkit.elements import GroupElement, element, render
 from raagkit.order import (
-    check_agroup_axioms,
-    check_median_axioms,
     join_codes,
     median_codes,
     meet_codes,

@@ -91,6 +91,18 @@ class TestDyn:
         assert run("dyn", "sim", "-g", F2XZ, "--w", "c", "a", "1").stdout.strip() == "true"
         assert run("dyn", "equiv", "-g", F2XZ, "--w", "c", "1", "c").stdout.strip() == "true"
 
+    def test_equiv_needs_no_interval_cap(self, tmp_path):
+        # K_8 presents Z⁸; the cell [1, g0⁴…g6⁴] has 5⁷ points, but equiv
+        # enumerates no cell, so even a cap of 1 is never hit.
+        gens = [f"g{i}" for i in range(8)]
+        k8 = tmp_path / "k8.txt"
+        edges = [f"edge: {a} {b}" for i, a in enumerate(gens) for b in gens[i + 1 :]]
+        k8.write_text("\n".join([f"gens: {' '.join(gens)}", *edges]) + "\n")
+        y = " ".join(f"{t}^4" for t in gens[:7])
+        for w, want in ((" ".join(gens[:7]), "true"), ("g7", "false")):
+            r = run("dyn", "equiv", "-g", str(k8), "--interval-cap", "1", "--w", w, "1", y)
+            assert (r.returncode, r.stdout.strip()) == (0, want), r.stderr
+
     def test_psi_slice_dirjoin(self):
         assert (
             run("dyn", "psi", "-g", F2XZ, "--w", "c", "--a", "1", "--x", "c^2 a").stdout.strip()

@@ -1,9 +1,11 @@
 """Foldings, preorders, and quasidirections vs their interval-based oracles."""
 
+import itertools
+
 import pytest
 
 from conftest import KERNEL_GRAPHS
-from oracles_bf import ref_preceq, ref_stabilized_gate
+from oracles_bf import ref_preceq, ref_stabilized
 from raagkit.conjugacy import cyclic_reduce, is_cyclically_reduced
 from raagkit.dynamics import (
     WContext,
@@ -19,7 +21,8 @@ from raagkit.dynamics import (
     qdir,
     sim,
 )
-from raagkit.elements import GroupElement, element, identity, mul_codes, power
+from raagkit.checks import enumerated_equiv
+from raagkit.elements import GroupElement, element, identity, inv_codes, mul_codes, pow_codes, power
 from raagkit.order import (
     interval,
     is_orthogonal,
@@ -27,7 +30,9 @@ from raagkit.order import (
     median,
     median_codes,
     meet,
+    meet_codes,
 )
+from raagkit.presentation import CommutationGraph
 from raagkit.sampling import random_codes, stream
 
 FIXTURES = ["free2", "z2", "f2xz"]
@@ -277,6 +282,17 @@ class TestEquivAndLl:
         b, a = element(free2, "b"), element(free2, "a")
         assert ll(b, a, identity(free2))
 
+    def test_decides_cells_past_the_interval_cap(self):
+        # K_8 presents Z⁸, where v⁻¹u ⊥ w means disjoint supports.  The cell
+        # [1, g0⁴…g6⁴] has 5⁷ points, more than the interval cap.
+        g = CommutationGraph(
+            [f"g{i}" for i in range(8)], {frozenset((i, j)) for i in range(8) for j in range(i)}
+        )
+        e = identity(g)
+        y = element(g, " ".join(f"g{i}^4" for i in range(7)))
+        assert equiv(element(g, " ".join(f"g{i}" for i in range(7))), e, y)
+        assert not equiv(element(g, "g7"), e, y)
+
     @pytest.mark.parametrize("name", FIXTURES)
     def test_equiv_symmetric(self, graphs, name):
         g = graphs[name]
@@ -338,18 +354,23 @@ class TestQdir:
             right = qdir(ctx, qdir(ctx, x, z), y)
             assert left == right
 
-    @pytest.mark.parametrize("name", FIXTURES)
-    def test_recovers_preorder_and_congruence(self, graphs, balls, name):
-        g = graphs[name]
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_recovers_preorder_and_congruence(self, kernel_graphs, balls, name):
+        # the separation congruence, decided where the two gates agree,
+        # against its definition on the enumerated cell
+        # (every ball(2) pair on the fixtures, 1000 drawn pairs on the others)
+        g = kernel_graphs[name]
         rng = stream(38, f"recover:{name}")
-        b2 = list(balls(name, 2))
+        b2 = sorted(balls(name, 2), key=lambda e: (len(e.codes), e.codes))
         for _ in range(6):
             ctx = WContext(_rand(rng, g, 3))
-            for x in b2:
-                for y in b2:
-                    assert preceq(ctx, x, y) == (qdir(ctx, y, x) == y)
-                    # the separation congruence is where the two gates agree
-                    assert equiv(ctx, x, y) == (qdir(ctx, x, y) == qdir(ctx, y, x))
+            if name in FIXTURES:
+                pairs = itertools.product(b2, b2)
+            else:
+                pairs = [(rng.choice(b2), rng.choice(b2)) for _ in range(1000)]
+            for x, y in pairs:
+                assert preceq(ctx, x, y) == (qdir(ctx, y, x) == y)
+                assert equiv(ctx, x, y) == enumerated_equiv(ctx, x, y)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_join_of_both_directions_is_folding(self, graphs, name):
@@ -402,7 +423,7 @@ class TestAxisSlices:
             ctx = WContext(_rand(rng, g, 4))
             a = fold_phi(ctx, _rand(rng, g, 3))
             for n in (-2, -1, 0, 1, 2):
-                t = GroupElement(g, ctx.power(n)) * a
+                t = GroupElement(g, pow_codes(g, ctx.w.codes, n)) * a
                 assert in_axis_slice(ctx, a, t)
 
 
@@ -518,8 +539,8 @@ class TestConvexClosureOfOrbit:
             t = x * ~y
             assert t * w == w * t
             n = len((~a * y).codes) + 1
-            wn = GroupElement(g, ctx.power(n))
-            wm = GroupElement(g, ctx.power(-n))
+            wn = GroupElement(g, pow_codes(g, w.codes, n))
+            wm = GroupElement(g, pow_codes(g, w.codes, -n))
             u = t * wm
             v = t * wn
             assert u * w == w * u and v * w == w * v
@@ -528,7 +549,13 @@ class TestConvexClosureOfOrbit:
 
 
 class TestGatesMatchReference:
-    """The closed-form gate index against the streak loop it replaced."""
+    """The closed-form index against the streak loop it replaced."""
+
+    @staticmethod
+    def gate(g, x, y, target):
+        """n ↦ Y(x, y, x·target(n)), which is x·(x⁻¹y ∩ target(n))."""
+        t = mul_codes(g, inv_codes(g, x.codes), y.codes)
+        return lambda n: mul_codes(g, x.codes, meet_codes(g, t, target(n)))
 
     @pytest.mark.parametrize("name", KERNEL_GRAPHS)
     def test_qdir(self, kernel_graphs, name):
@@ -540,9 +567,10 @@ class TestGatesMatchReference:
             ix, phx = ctx.inv(x.codes), ctx.phi(x.codes)
 
             def target(n):
-                return mul_codes(g, mul_codes(g, ix, ctx.power(n)), phx)
+                return mul_codes(g, mul_codes(g, ix, pow_codes(g, ctx.w.codes, n)), phx)
 
-            assert qdir(ctx, x, y).codes == ref_stabilized_gate(ctx, x.codes, y.codes, target)
+            term = self.gate(g, x, y, target)
+            assert qdir(ctx, x, y).codes == ref_stabilized(ctx, x.codes, y.codes, term)
 
     @pytest.mark.parametrize("name", KERNEL_GRAPHS)
     def test_dir_join(self, kernel_graphs, name):
@@ -554,8 +582,25 @@ class TestGatesMatchReference:
             ix, phx, phy = ctx.inv(x.codes), ctx.phi(x.codes), ctx.phi(y.codes)
 
             def target(n):
-                wn = ctx.power(n)
+                wn = pow_codes(g, ctx.w.codes, n)
                 inner = median_codes(g, mul_codes(g, wn, phx), a.codes, mul_codes(g, wn, phy))
                 return mul_codes(g, ix, inner)
 
-            assert dir_join(ctx, a, x, y).codes == ref_stabilized_gate(ctx, x.codes, y.codes, target)
+            term = self.gate(g, x, y, target)
+            assert dir_join(ctx, a, x, y).codes == ref_stabilized(ctx, x.codes, y.codes, term)
+
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_psi_fold(self, kernel_graphs, name):
+        g = kernel_graphs[name]
+        rng = stream(51, f"psiref:{name}")
+        for _ in range(300):
+            ctx = WContext(_rand(rng, g, 5))
+            a = fold_phi(ctx, _rand(rng, g, 5))
+            x = _rand(rng, g, 6)
+
+            def term(n):
+                wn = pow_codes(g, ctx.w.codes, n)
+                lo = mul_codes(g, inv_codes(g, wn), a.codes)
+                return median_codes(g, lo, x.codes, mul_codes(g, wn, a.codes))
+
+            assert psi_fold(ctx, a, x).codes == ref_stabilized(ctx, a.codes, x.codes, term)

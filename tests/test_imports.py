@@ -18,14 +18,14 @@ EXPORTS = {
     "errors": "GraphMismatchError InvariantViolationError ParseError RaagError ResourceCapError",
     "presentation": "CommutationGraph SignedLetter Word letter_order load_graph parse_graph parse_word render_word",
     "elements": "GroupElement element equal first_letters identity invert multiply normalize power render support",
-    "order": "Interval ball boundary check_agroup_axioms check_median_axioms interval is_orthogonal "
-    "is_orthogonal_definitional is_prefix join median meet oracle_qdir",
+    "order": "Interval ball boundary interval is_orthogonal is_orthogonal_definitional is_prefix join median "
+    "meet oracle_qdir",
     "conjugacy": "CyclicReduction are_conjugate conjugacy_witness cyclic_reduce cyclically_reduced_conjugates "
     "is_cyclically_reduced max_root mth_root",
     "dynamics": "WContext decompose_axis dir_join equiv fold_phi in_axis in_axis_slice ll preceq psi_fold qdir sim",
     "structure": "CentralizerPresentation PrimitiveDecomposition center centralizer h_basis in_centralizer "
     "is_primitive prim_decompose s_perp_set",
-    "checks": "SUITES failure_count run_suite",
+    "checks": "SUITES check_agroup_axioms check_median_axioms failure_count run_suite",
 }
 HOME = {name: home for home, names in EXPORTS.items() for name in names.split()}
 
@@ -67,6 +67,13 @@ class TestLazyImports:
         loaded = loaded_beyond_bare("-m", "raagkit", "dyn", "cyclred", "-g", F2XZ, "a c a^-1")
         assert "raagkit.conjugacy" in loaded
         assert not loaded & {"raagkit.dynamics", "raagkit.structure", "raagkit.checks", "dataclasses"}
+
+    def test_dyn_qdir_loads_no_conjugacy(self):
+        # The gates compute their powers with the kernel's pow_codes, so the
+        # dynamics rows need no cyclic reduction.
+        loaded = loaded_beyond_bare("-m", "raagkit", "dyn", "qdir", "-g", F2XZ, "--w", "a c", "b", "a^2")
+        assert {"raagkit.dynamics", "raagkit.order"} <= loaded
+        assert not loaded & {"raagkit.conjugacy", "raagkit.structure", "raagkit.checks"}
 
 
 class TestExports:

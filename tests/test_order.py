@@ -7,6 +7,7 @@ import pytest
 
 from conftest import KERNEL_GRAPHS
 from oracles_bf import brute_interval, brute_median, brute_prefixes, ref_meet
+from raagkit.checks import check_agroup_axioms, check_median_axioms
 from raagkit.elements import canon_codes, element, identity, inv_codes, mul_codes
 from raagkit.errors import InvariantViolationError, ResourceCapError
 from raagkit.order import (
@@ -14,8 +15,6 @@ from raagkit.order import (
     ball,
     ball_codes,
     boundary,
-    check_agroup_axioms,
-    check_median_axioms,
     interval,
     interval_codes,
     is_orthogonal,
