@@ -172,7 +172,7 @@ def in_axis_slice(w: WLike, a: GroupElement, x: GroupElement) -> bool:
     _require_axis(ctx, "a", a)
     g = ctx.graph
     lo, hi = _slice_ends(ctx, a.codes, x.codes)
-    left = mul_codes(g, ctx.inv(lo), x.codes)
+    left = mul_codes(g, inv_codes(g, lo), x.codes)
     right = mul_codes(g, ctx.inv(x.codes), hi)
     return _reduced_product(g, left, right)
 

@@ -21,11 +21,13 @@ algorithms are validated against independent routes:
 - `ref_root_candidates`: an m-th root of a cyclically reduced word by a
   depth-first search over its prefixes, the reference for the
   occurrence-block root of `mth_root` and `max_root`.
-- `ref_preceq`, `ref_in_centralizer`, `ref_generated_within`: the
-  definitions on `GroupElement`s, the references for the code-tuple versions
-  in the library: x below y for w when l(x⁻¹y) + l(y⁻¹wy) = l(x⁻¹wy), x
-  commuting with w when xw = wx, and the bounded subgroup search by element
-  products.
+- `ref_preceq`, `ref_in_centralizer`: the definitions on `GroupElement`s,
+  the references for the code-tuple versions in the library: x below y for
+  w when l(x⁻¹y) + l(y⁻¹wy) = l(x⁻¹wy), and x commuting with w when
+  xw = wx.
+- `ref_generated_within`: the products of given generators by a bounded
+  subgroup search, the reference whose every element the structure-theorem
+  decision `checks.outside_span` must place inside the span.
 
 Layering: brute_prefixes and everything below rely on the canonical-form
 engine, which is itself validated against the rewriting closure first.

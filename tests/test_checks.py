@@ -2,9 +2,14 @@
 
 import pytest
 
+from raagkit import checks
 from raagkit.checks import SUITE_ORDER, SUITES, failure_count, run_suite
+from raagkit.structure import CentralizerPresentation, centralizer
 
 SAMPLES = 40
+
+# The one law whose record carries "inconclusive": its witness scan is bounded.
+BOUNDED_SEARCH = "noncommuting-translation-moves-folding"
 
 EXPECTED_AXIOMS = {
     "median-axioms": [
@@ -78,16 +83,17 @@ class TestSuites:
             assert [r["axiom"] for r in report] == EXPECTED_AXIOMS[suite]
             for record in report:
                 assert record["suite"] == suite
-                allowed = {"axiom", "samples", "failures", "suite", "inconclusive"}
-                assert set(record) <= allowed
+                keys = {"axiom", "samples", "failures", "suite"}
+                if record["axiom"] == BOUNDED_SEARCH:
+                    keys.add("inconclusive")
+                assert set(record) == keys
                 assert record["failures"] == []
 
     def test_bounded_searches_settle_at_desk_scale(self, graphs):
         for g in graphs.values():
             report = run_suite("structure", g, samples=SAMPLES, seed=2, max_len=8)
             by_name = {r["axiom"]: r for r in report}
-            assert by_name["centralizer-reaches-commuting-ball"]["inconclusive"] == 0
-            assert by_name["noncommuting-translation-moves-folding"]["inconclusive"] == 0
+            assert by_name[BOUNDED_SEARCH]["inconclusive"] == 0
 
     def test_all_concatenates_in_declared_order(self, free2):
         report = run_suite("all", free2, samples=10, seed=0, max_len=6)
@@ -112,6 +118,26 @@ class TestSuites:
         a = [random_codes(stream(1, "cyclic"), f2xz, 8) for _ in range(20)]
         b = [random_codes(stream(2, "cyclic"), f2xz, 8) for _ in range(20)]
         assert a != b
+
+
+def _drop_last_letter(z):
+    return CentralizerPresentation(z.raag_generators[:-1], z.abelian_generators)
+
+
+def _square_abelian(z):
+    return CentralizerPresentation(z.raag_generators, tuple(p**2 for p in z.abelian_generators))
+
+
+class TestCompletenessCanFail:
+    # A centralizer that misses part of C(w) must make the completeness law
+    # report failures.
+    @pytest.mark.parametrize("corrupt", [_drop_last_letter, _square_abelian])
+    @pytest.mark.parametrize("name", ["z2", "f2xz"])
+    def test_corrupted_centralizer_fails(self, monkeypatch, graphs, corrupt, name):
+        monkeypatch.setattr(checks, "centralizer", lambda w: corrupt(centralizer(w)))
+        report = run_suite("structure", graphs[name], samples=SAMPLES, seed=2, max_len=8)
+        by_name = {r["axiom"]: r for r in report}
+        assert by_name["centralizer-reaches-commuting-ball"]["failures"]
 
 
 class TestFailureCount:

@@ -9,6 +9,7 @@ from oracles_bf import ref_preceq, ref_stabilized
 from raagkit.conjugacy import cyclic_reduce, is_cyclically_reduced
 from raagkit.dynamics import (
     WContext,
+    _slice_ends,
     decompose_axis,
     dir_join,
     equiv,
@@ -414,6 +415,20 @@ class TestAxisSlices:
             assert in_axis_slice(ctx, a, z)
             assert psi_fold(ctx, a, z) == z
             assert in_axis_slice(ctx, a, x) == (z == x)
+
+    def test_slice_ends_are_not_cached(self, kernel_graphs):
+        # The slice end w⁻ⁿa is a long word that no later call reads, so it
+        # must not enter the context's inverse cache.
+        g = kernel_graphs["C5"]
+        rng = stream(42, "slice-cache")
+        ctx = WContext(GroupElement(g, random_codes(rng, g, 12, 1)))
+        for _ in range(20):
+            a = fold_phi(ctx, _rand(rng, g, 12))
+            x = _rand(rng, g, 12)
+            lo, _ = _slice_ends(ctx, a.codes, x.codes)
+            in_axis_slice(ctx, a, x)
+            assert lo not in ctx._inv
+            assert inv_codes(g, lo) not in ctx._inv
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_powers_of_base_stay_in_slice(self, graphs, name):

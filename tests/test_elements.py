@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import KERNEL_GRAPHS
 from oracles_bf import brute_canonical, minimal_multiset, rewriting_closure
-from raagkit.checks import generated_within
+from raagkit.checks import outside_span
 from raagkit.elements import (
     MUL_SPLICE_MAX,
     SHORTLEX_SCAN_MAX,
@@ -29,7 +29,7 @@ from raagkit.elements import (
 )
 from raagkit.errors import GraphMismatchError
 from raagkit.presentation import CommutationGraph, SignedLetter, Word, code_letter, parse_word
-from raagkit.structure import in_centralizer
+from raagkit.structure import centralizer, in_centralizer
 
 ORACLE_SAMPLES = 10_000
 ORACLE_MAX_LEN = 6
@@ -268,8 +268,13 @@ class TestGraphMismatch:
         assert not in_centralizer(element(copy, "a"), element(free2, "b"))
 
     def test_generated_within_rejects(self, free2, z2):
+        # Membership in a centralizer's span: elements and generators must
+        # come from the presentation of w.
+        w = element(free2, "a")
         with pytest.raises(GraphMismatchError):
-            generated_within(free2, [element(z2, "a")], 2)
+            outside_span(w, centralizer(w), [element(z2, "a")])
+        with pytest.raises(GraphMismatchError):
+            outside_span(w, centralizer(element(z2, "a")), [])
 
 
 @settings(deadline=None, max_examples=300)

@@ -3,8 +3,9 @@
 The connectivity criterion inside `is_primitive` is validated against
 boundary enumeration on every cell of radius-4 balls; decompositions are
 round-tripped and checked primitive-by-primitive; centralizers are checked
-sound (every generator commutes) and complete at desk scale (bounded
-subgroup search reaches every commuting ball element).
+sound (every generator commutes) and complete: the structure-theorem
+decision `outside_span` agrees with commutation on every ball pair, and
+accepts everything the brute-force subgroup search reaches.
 """
 
 import itertools
@@ -12,13 +13,15 @@ import itertools
 import pytest
 
 from oracles_bf import ref_generated_within, ref_in_centralizer
-from raagkit.checks import generated_within
+from raagkit.checks import outside_span
 from raagkit.conjugacy import cyclic_reduce, is_cyclically_reduced, max_root
 from raagkit.dynamics import WContext, fold_phi, in_axis, preceq
 from raagkit.elements import GroupElement, element, identity, render
+from raagkit.errors import InvariantViolationError
 from raagkit.order import ball, boundary, interval, is_orthogonal, join, meet
 from raagkit.sampling import random_codes, stream
 from raagkit.structure import (
+    CentralizerPresentation,
     center,
     centralizer,
     h_basis,
@@ -190,20 +193,14 @@ class TestCentralizer:
                     assert in_centralizer(w, t)
 
     def test_complete_on_ball3_members(self, graphs, balls):
-        # Desk-scale completeness: every commuting ball element is reached by
-        # bounded products of the emitted generators.
+        # Every commuting ball element lies in the span of the generators.
         rng = stream(10, "centralizer-completeness")
         for name, g in graphs.items():
             words = [rand_elem(rng, g, 6, min_len=1) for _ in range(25)]
             words += [rand_elem(rng, g, 3, min_len=1) for _ in range(15)]
             for w in words:
-                z = centralizer(w)
-                gens = list(z.raag_generators) + list(z.abelian_generators)
                 commuting = [x for x in balls(name, 3) if in_centralizer(w, x)]
-                radius = max(len(x) for x in commuting) + 2
-                reached = generated_within(g, gens, radius)
-                for x in commuting:
-                    assert x in reached, (render(w), render(x))
+                assert outside_span(w, centralizer(w), commuting) == [], render(w)
 
     @pytest.mark.parametrize("name", ["free2", "z2", "f2xz", "C5"])
     def test_in_centralizer_matches_reference(self, balls, name):
@@ -218,18 +215,33 @@ class TestCentralizer:
         assert seen == ({True} if name == "z2" else {True, False})
 
     @pytest.mark.parametrize("name", ["free2", "z2", "f2xz", "C5"])
-    def test_generated_within_matches_reference(self, kernel_graphs, balls, name):
-        # Centralizer generators, which generate few elements, and two ball
-        # elements, which on a non-abelian graph fill much of ball(3).
+    def test_span_decision_matches_commutation(self, balls, name):
+        # Every pair (w, x) with w in ball(2) \ {1} and x in ball(3): the span
+        # of centralizer(w) is exactly the set of elements commuting with w.
+        b3 = sorted(balls(name, 3), key=lambda e: (len(e.codes), e.codes))
+        for w in balls(name, 2):
+            if w.is_identity():
+                continue
+            outside = outside_span(w, centralizer(w), b3)
+            assert outside == [x for x in b3 if not in_centralizer(w, x)], render(w)
+
+    @pytest.mark.parametrize("name", ["free2", "z2", "f2xz", "C5"])
+    def test_span_decision_accepts_reference_products(self, kernel_graphs, balls, name):
         g = kernel_graphs[name]
         b2 = sorted(balls(name, 2), key=lambda e: (len(e.codes), e.codes))
         rng = stream(51, f"generated-ref:{name}")
         for _ in range(12):
-            z = centralizer(rng.choice(b2[1:]))
+            w = rng.choice(b2[1:])
+            z = centralizer(w)
             gens = list(z.raag_generators) + list(z.abelian_generators)
-            assert generated_within(g, gens, 4) == ref_generated_within(g, gens, 4)
-            gens = [rng.choice(b2), rng.choice(b2)]
-            assert generated_within(g, gens, 3) == ref_generated_within(g, gens, 3)
+            assert outside_span(w, z, ref_generated_within(g, gens, 4)) == []
+
+    def test_span_decision_rejects_malformed_generators(self, f2xz):
+        w = element(f2xz, "c")
+        z = centralizer(w)
+        bad = CentralizerPresentation((element(f2xz, "a b"),), z.abelian_generators)
+        with pytest.raises(InvariantViolationError):
+            outside_span(w, bad, [w])
 
     def test_powers_share_centralizers(self, graphs, balls):
         rng = stream(11, "centralizer-of-powers")
@@ -354,7 +366,7 @@ class TestFoldingFactorization:
                 w = element(g, text)
                 z = centralizer(w)
                 gens = list(z.raag_generators) + list(z.abelian_generators)
-                movers = sorted(generated_within(g, gens, 4), key=lambda t: (len(t), t.codes))[:12]
+                movers = sorted(ref_generated_within(g, gens, 4), key=lambda t: (len(t), t.codes))[:12]
                 ctx = WContext(w)
                 for t in movers:
                     for _ in range(10):
