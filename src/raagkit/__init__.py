@@ -25,11 +25,9 @@ _EXPORTS = {
         "CommutationGraph",
         "SignedLetter",
         "Word",
-        "letter_order",
         "load_graph",
         "parse_graph",
         "parse_word",
-        "render_word",
     ),
     "elements": (
         "GroupElement",
@@ -68,7 +66,6 @@ _EXPORTS = {
         "mth_root",
     ),
     "dynamics": (
-        "WContext",
         "decompose_axis",
         "dir_join",
         "equiv",

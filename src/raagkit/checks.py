@@ -17,7 +17,6 @@ from functools import partial
 
 from .conjugacy import cyclic_reduce, is_cyclically_reduced
 from .dynamics import (
-    WContext,
     decompose_axis,
     dir_join,
     equiv,
@@ -50,6 +49,7 @@ from .presentation import CommutationGraph
 from .sampling import random_codes, stream
 from .structure import CentralizerPresentation, centralizer, in_centralizer, prim_decompose
 
+# Draws a rejection sampler may make per accepted sample.
 _ATTEMPT_FACTOR = 10_000
 
 
@@ -59,6 +59,26 @@ def _fail(**words) -> dict:
 
 def _draw(rng, g: CommutationGraph, max_len: int, min_len: int = 0) -> GroupElement:
     return GroupElement(g, random_codes(rng, g, max_len, min_len))
+
+
+def _accepted(samples: int, what: str, draw, keep):
+    """Yield `samples` tuples from draw() that satisfy the hypothesis keep(*d).
+
+    Rejected draws are discarded; after samples·_ATTEMPT_FACTOR draws the
+    sampler gives up with ResourceCapError.  Each accepted tuple is yielded
+    before the next draw, so a caller's loop reads the random stream in the
+    order of a plain loop.
+    """
+    cap = samples * _ATTEMPT_FACTOR
+    found = attempts = 0
+    while found < samples:
+        attempts += 1
+        if attempts > cap:
+            raise ResourceCapError(what, cap, "attempts")
+        d = draw()
+        if keep(*d):
+            found += 1
+            yield d
 
 
 def check_median_axioms(g: CommutationGraph, samples: int = 1000, seed: int = 0, max_len: int = 8) -> list[dict]:
@@ -114,58 +134,38 @@ def check_agroup_axioms(g: CommutationGraph, samples: int = 1000, seed: int = 0,
     """
     rng = stream(seed, "agroup-axioms")
     el = partial(GroupElement, g)
-    attempts_cap = samples * 10_000
+
+    def words(k: int):
+        return lambda: tuple(random_codes(rng, g, max_len) for _ in range(k))
+
+    def inverse_prefix_pair():
+        y = random_codes(rng, g, max_len)
+        return inv_codes(g, rng.choice(interval_codes(g, inv_codes(g, y)))), y
+
+    def orthogonal(x, y) -> bool:
+        return orth_codes_definitional(g, x, y)
+
+    def joinable(x, y) -> bool:
+        return join_codes(g, x, y) is not None
+
+    def trivial_meets(x, y, z) -> bool:
+        return not (meet_codes(g, x, y) or meet_codes(g, inv_codes(g, x), z) or meet_codes(g, inv_codes(g, y), z))
 
     perp_fail: list[dict] = []
-    found = 0
-    attempts = 0
-    while found < samples:
-        attempts += 1
-        if attempts > attempts_cap:
-            raise ResourceCapError("rejection sampling for orthogonal pairs", attempts_cap, "attempts")
-        x = random_codes(rng, g, max_len)
-        y = random_codes(rng, g, max_len)
-        if not orth_codes_definitional(g, x, y):
-            continue
-        found += 1
+    for x, y in _accepted(samples, "rejection sampling for orthogonal pairs", words(2), orthogonal):
         xy = mul_codes(g, x, y)
         if xy != mul_codes(g, y, x) or join_codes(g, x, y) != xy:
             perp_fail.append(_fail(x=el(x), y=el(y)))
 
     a1_fail: list[dict] = []
-    found = 0
-    attempts = 0
-    while found < samples:
-        attempts += 1
-        if attempts > attempts_cap:
-            raise ResourceCapError("constructive sampling for the inverse-prefix axiom", attempts_cap, "attempts")
-        y = random_codes(rng, g, max_len)
-        iy = inv_codes(g, y)
-        prefixes = interval_codes(g, iy)
-        x = inv_codes(g, rng.choice(prefixes))
-        if join_codes(g, x, y) is None:
-            continue
-        found += 1
+    what = "constructive sampling for the inverse-prefix axiom"
+    for x, y in _accepted(samples, what, inverse_prefix_pair, joinable):
         if not prefix_codes(g, x, y):
             a1_fail.append(_fail(x=el(x), y=el(y)))
 
     a2_fail: list[dict] = []
-    found = 0
-    attempts = 0
-    while found < samples:
-        attempts += 1
-        if attempts > attempts_cap:
-            raise ResourceCapError("rejection sampling for the meet-triviality axiom", attempts_cap, "attempts")
-        x = random_codes(rng, g, max_len)
-        y = random_codes(rng, g, max_len)
-        z = random_codes(rng, g, max_len)
-        if meet_codes(g, x, y):
-            continue
-        if meet_codes(g, inv_codes(g, x), z):
-            continue
-        if meet_codes(g, inv_codes(g, y), z):
-            continue
-        found += 1
+    what = "rejection sampling for the meet-triviality axiom"
+    for x, y, z in _accepted(samples, what, words(3), trivial_meets):
         lhs = meet_codes(g, mul_codes(g, x, z), mul_codes(g, y, z))
         if not prefix_codes(g, lhs, z):
             a2_fail.append(_fail(x=el(x), y=el(y), z=el(z)))
@@ -229,16 +229,15 @@ def check_cyclic(
 
 
 def _directed_pair(rng, g, max_len):
-    """(w-context, lower, upper) with lower below upper in the w-preorder.
+    """(w, lower, upper) with lower below upper in the w-preorder.
 
     The direction operation lands in the part of the cell above both inputs,
     so its value is an upper bound for either argument.
     """
     w = _draw(rng, g, min(max_len, 3))
-    ctx = WContext(w)
     a = _draw(rng, g, min(max_len, 4))
     b = _draw(rng, g, min(max_len, 4))
-    return ctx, a, qdir(ctx, a, b)
+    return w, a, qdir(w, a, b)
 
 
 def check_preorder(
@@ -256,25 +255,25 @@ def check_preorder(
 
     trans_fail: list[dict] = []
     for _ in range(samples):
-        ctx, a, u = _directed_pair(rng, g, max_len)
-        v = qdir(ctx, u, _draw(rng, g, min(max_len, 4)))
-        if not (preceq(ctx, a, u) and preceq(ctx, u, v) and preceq(ctx, a, v)):
-            trans_fail.append(_fail(w=ctx.w, x=a, y=u, z=v))
+        w, a, u = _directed_pair(rng, g, max_len)
+        v = qdir(w, u, _draw(rng, g, min(max_len, 4)))
+        if not (preceq(w, a, u) and preceq(w, u, v) and preceq(w, a, v)):
+            trans_fail.append(_fail(w=w, x=a, y=u, z=v))
 
     hered_fail: list[dict] = []
     for _ in range(samples):
-        ctx, a, u = _directed_pair(rng, g, max_len)
+        w, a, u = _directed_pair(rng, g, max_len)
         z = median(a, u, _draw(rng, g, max_len))
-        if not (preceq(ctx, a, z) and preceq(ctx, z, u)):
-            hered_fail.append(_fail(w=ctx.w, x=a, y=u, z=z))
+        if not (preceq(w, a, z) and preceq(w, z, u)):
+            hered_fail.append(_fail(w=w, x=a, y=u, z=z))
 
     cong_fail: list[dict] = []
     for _ in range(samples):
-        ctx, y, x = _directed_pair(rng, g, max_len)
+        w, y, x = _directed_pair(rng, g, max_len)
         a = _draw(rng, g, max_len)
         b = _draw(rng, g, max_len)
-        if not preceq(ctx, median(a, b, y), median(a, b, x)):
-            cong_fail.append(_fail(w=ctx.w, x=x, y=y, a=a, b=b))
+        if not preceq(w, median(a, b, y), median(a, b, x)):
+            cong_fail.append(_fail(w=w, x=x, y=y, a=a, b=b))
 
     transl_fail: list[dict] = []
     for _ in range(samples):
@@ -326,17 +325,18 @@ def check_folding(
     power_fail: list[dict] = []
     for _ in range(samples):
         w = _draw(rng, g, min(max_len, 5))
-        ctx = WContext(w)
         x = _draw(rng, g, max_len)
-        fx = fold_phi(ctx, x)
-        if fold_phi(ctx, fx) != fx or not in_axis(ctx, fx):
+        fx = fold_phi(w, x)
+        if fold_phi(w, fx) != fx or not in_axis(w, fx):
             idem_fail.append(_fail(w=w, x=x))
-        c = fold_phi(ctx, _draw(rng, g, max_len))
+        c = fold_phi(w, _draw(rng, g, max_len))
         if median(x, fx, c) != fx:
             gate_fail.append(_fail(w=w, x=x, c=c))
-        if in_axis(ctx, x) != (fx == x):
+        if in_axis(w, x) != (fx == x):
             fixed_fail.append(_fail(w=w, x=x))
-        if fx != x * cyclic_reduce(~x * w * x).conjugator:
+        # fold_phi computes x·(c ∩ c⁻¹) for c = x⁻¹wx; the core conjugator
+        # of c and the median definition are two independent routes to it.
+        if fx != x * cyclic_reduce(~x * w * x).conjugator or fx != median(w * x, x, ~w * x):
             conj_fail.append(_fail(w=w, x=x))
         n = rng.choice([-2, -1, 2, 3])
         if not w.is_identity() and fold_phi(w**n, x) != fx:
@@ -346,27 +346,24 @@ def check_folding(
     step_fail: list[dict] = []
     for _ in range(samples):
         w = _draw(rng, g, min(max_len, 5))
-        ctx = WContext(w)
-        rev = WContext(~w)
-        x = fold_phi(ctx, _draw(rng, g, max_len))
-        y = fold_phi(ctx, _draw(rng, g, max_len))
-        if preceq(ctx, x, y) != preceq(rev, y, x):
+        x = fold_phi(w, _draw(rng, g, max_len))
+        y = fold_phi(w, _draw(rng, g, max_len))
+        if preceq(w, x, y) != preceq(~w, y, x):
             anti_fail.append(_fail(w=w, x=x, y=y))
-        if not preceq(ctx, x, w * x):
+        if not preceq(w, x, w * x):
             step_fail.append(_fail(w=w, x=x))
 
     slice_fail: list[dict] = []
     dec_fail: list[dict] = []
     for _ in range(samples):
         w = _draw(rng, g, min(max_len, 5), min_len=1)
-        ctx = WContext(w)
-        a = fold_phi(ctx, _draw(rng, g, min(max_len, 5)))
+        a = fold_phi(w, _draw(rng, g, min(max_len, 5)))
         x = _draw(rng, g, min(max_len, 6))
-        z = psi_fold(ctx, a, x)
-        if not in_axis_slice(ctx, a, z) or psi_fold(ctx, a, z) != z:
+        z = psi_fold(w, a, x)
+        if not in_axis_slice(w, a, z) or psi_fold(w, a, z) != z:
             slice_fail.append(_fail(w=w, a=a, x=x))
-        ax = fold_phi(ctx, x)
-        y, z2 = decompose_axis(ctx, a, ax)
+        ax = fold_phi(w, x)
+        y, z2 = decompose_axis(w, a, ax)
         if y * ~a * z2 != ax or z2 * ~a * y != ax:
             dec_fail.append(_fail(w=w, a=a, x=ax))
 
@@ -403,11 +400,10 @@ def check_qdir(
     oracle_fail: list[dict] = []
     for _ in range(samples):
         w = _draw(rng, g, min(max_len, 2))
-        ctx = WContext(w)
         x = _draw(rng, g, min(max_len, 3))
         y = _draw(rng, g, min(max_len, 3))
-        ref = oracle_qdir(x, y, lambda u, v: preceq(ctx, u, v))
-        if qdir(ctx, x, y) != ref:
+        ref = oracle_qdir(x, y, lambda u, v: preceq(w, u, v))
+        if qdir(w, x, y) != ref:
             oracle_fail.append(_fail(w=w, x=x, y=y))
 
     idem_fail: list[dict] = []
@@ -415,47 +411,42 @@ def check_qdir(
     recov_fail: list[dict] = []
     for _ in range(samples):
         w = _draw(rng, g, min(max_len, 3))
-        ctx = WContext(w)
         x = _draw(rng, g, min(max_len, 4))
         y = _draw(rng, g, min(max_len, 4))
         z = _draw(rng, g, min(max_len, 4))
-        if qdir(ctx, x, x) != x:
+        if qdir(w, x, x) != x:
             idem_fail.append(_fail(w=w, x=x))
-        if qdir(ctx, qdir(ctx, x, y), z) != qdir(ctx, qdir(ctx, x, z), y):
+        if qdir(w, qdir(w, x, y), z) != qdir(w, qdir(w, x, z), y):
             exch_fail.append(_fail(w=w, x=x, y=y, z=z))
-        if preceq(ctx, x, y) != (qdir(ctx, y, x) == y):
+        if preceq(w, x, y) != (qdir(w, y, x) == y):
             recov_fail.append(_fail(w=w, x=x, y=y))
 
     cong_fail: list[dict] = []
     for _ in range(samples):
         w = _draw(rng, g, min(max_len, 3))
-        ctx = WContext(w)
         x = _draw(rng, g, min(max_len, 3))
         y = _draw(rng, g, min(max_len, 3))
-        if equiv(ctx, x, y) != enumerated_equiv(ctx, x, y):
+        if equiv(w, x, y) != enumerated_equiv(w, x, y):
             cong_fail.append(_fail(w=w, x=x, y=y))
 
     both_fail: list[dict] = []
     for _ in range(samples):
         w = _draw(rng, g, min(max_len, 3))
-        ctx = WContext(w)
-        rev = WContext(~w)
         x = _draw(rng, g, min(max_len, 4))
         y = _draw(rng, g, min(max_len, 4))
-        lhs = median(qdir(ctx, x, y), qdir(rev, x, y), x)
-        if lhs != median(x, y, fold_phi(ctx, x)):
+        lhs = median(qdir(w, x, y), qdir(~w, x, y), x)
+        if lhs != median(x, y, fold_phi(w, x)):
             both_fail.append(_fail(w=w, x=x, y=y))
 
     djoin_fail: list[dict] = []
     for _ in range(samples):
         w = _draw(rng, g, min(max_len, 3))
-        ctx = WContext(w)
-        a = fold_phi(ctx, _draw(rng, g, min(max_len, 4)))
+        a = fold_phi(w, _draw(rng, g, min(max_len, 4)))
         x = _draw(rng, g, min(max_len, 4))
         y = _draw(rng, g, min(max_len, 4))
-        j = dir_join(ctx, a, x, y)
-        if j != dir_join(ctx, a, y, x) or j != median(
-            qdir(ctx, x, y), a, qdir(ctx, y, x)
+        j = dir_join(w, a, x, y)
+        if j != dir_join(w, a, y, x) or j != median(
+            qdir(w, x, y), a, qdir(w, y, x)
         ):
             djoin_fail.append(_fail(w=w, a=a, x=x, y=y))
 
@@ -602,41 +593,31 @@ def check_structure(
     for _ in range(samples):
         w = _draw(rng, g, min(max_len, 6), min_len=1)
         parts = [p for p, _ in prim_decompose(w).pairs]
-        ctx = WContext(w)
-        part_ctx = [WContext(p) for p in parts]
         x = _draw(rng, g, min(max_len, 5))
-        if in_axis(ctx, x) != all(in_axis(c, x) for c in part_ctx):
+        if in_axis(w, x) != all(in_axis(p, x) for p in parts):
             axes_fail.append(_fail(w=w, x=x))
-        through = fold_phi(ctx, x)
+        through = fold_phi(w, x)
         forward = x
-        for c in part_ctx:
-            forward = fold_phi(c, forward)
+        for p in parts:
+            forward = fold_phi(p, forward)
         backward = x
-        for c in reversed(part_ctx):
-            backward = fold_phi(c, backward)
+        for p in reversed(parts):
+            backward = fold_phi(p, backward)
         if through != forward or through != backward:
             compose_fail.append(_fail(w=w, x=x))
         y = _draw(rng, g, min(max_len, 5))
-        if preceq(ctx, x, y) != all(preceq(c, x, y) for c in part_ctx):
+        if preceq(w, x, y) != all(preceq(p, x, y) for p in parts):
             pre_fail.append(_fail(w=w, x=x, y=y))
 
-    perp_fail: list[dict] = []
-    found = 0
-    attempts = 0
-    attempts_cap = samples * _ATTEMPT_FACTOR
     one = identity(g)
-    while found < samples:
-        attempts += 1
-        if attempts > attempts_cap:
-            raise ResourceCapError(
-                "rejection sampling for orthogonal prefix pairs", attempts_cap, "attempts"
-            )
+
+    def prefix_pair():
         w = _draw(rng, g, max_len)
-        x = median(one, w, _draw(rng, g, max_len))
-        y = median(one, w, _draw(rng, g, max_len))
-        if not is_orthogonal(x, y):
-            continue
-        found += 1
+        return w, median(one, w, _draw(rng, g, max_len)), median(one, w, _draw(rng, g, max_len))
+
+    perp_fail: list[dict] = []
+    what = "rejection sampling for orthogonal prefix pairs"
+    for w, x, y in _accepted(samples, what, prefix_pair, lambda w, x, y: is_orthogonal(x, y)):
         both = in_centralizer(w, x) and in_centralizer(w, y)
         if in_centralizer(w, x * y) != both:
             perp_fail.append(_fail(w=w, x=x, y=y))
@@ -666,9 +647,8 @@ def check_structure(
         for _ in range(rng.randint(1, 3)):
             pick = rng.choice(gens)
             t = t * (pick if rng.random() < 0.5 else ~pick)
-        ctx = WContext(w)
         x = _draw(rng, g, min(max_len, 5))
-        if t * fold_phi(ctx, x) != fold_phi(ctx, t * x):
+        if t * fold_phi(w, x) != fold_phi(w, t * x):
             stab_fail.append(_fail(w=w, t=t, x=x))
 
     witness_inconclusive = 0
@@ -680,8 +660,7 @@ def check_structure(
         if in_centralizer(w, t):
             continue
         witness_tried += 1
-        ctx = WContext(w)
-        if not any(t * fold_phi(ctx, x) != fold_phi(ctx, t * x) for x in ball2):
+        if not any(t * fold_phi(w, x) != fold_phi(w, t * x) for x in ball2):
             witness_inconclusive += 1
 
     return [

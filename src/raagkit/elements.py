@@ -259,11 +259,6 @@ class GroupElement:
         self.codes = codes
         self._hash = hash(codes)
 
-    @property
-    def letters(self) -> tuple[SignedLetter, ...]:
-        """The canonical word as signed letters."""
-        return tuple(code_letter(c) for c in self.codes)
-
     def length(self) -> int:
         """The canonical length l(x)."""
         return len(self.codes)

@@ -271,29 +271,8 @@ def render_codes(g: CommutationGraph, codes) -> str:
     return " ".join(chunks)
 
 
-def render_word(w: Word, g: CommutationGraph) -> str:
-    """`render_codes` of a word of signed letters."""
-    return render_codes(g, [letter_code(l) for l in w.letters])
-
-
-def letter_order(g: CommutationGraph):
-    """Total order on signed letters: i+ < i- < j+ < j- for gen indices i < j.
-
-    Returns a key function SignedLetter -> int; compare letters by comparing
-    keys. Deterministic for a fixed graph.
-    """
-    n = g.ngens
-
-    def key(letter: SignedLetter) -> int:
-        if not (0 <= letter.gen < n):
-            raise ValueError(f"letter {letter} is not valid for this graph")
-        return 2 * letter.gen + (0 if letter.sign > 0 else 1)
-
-    return key
-
-
 def letter_code(letter: SignedLetter) -> int:
-    """Internal int encoding; coincides with the letter_order key."""
+    """Internal int encoding: i+ is 2i and i- is 2i + 1, so int order is letter order."""
     return 2 * letter.gen + (0 if letter.sign > 0 else 1)
 
 

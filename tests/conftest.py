@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from raagkit.dynamics import WContext, preceq
+from raagkit.dynamics import preceq
 from raagkit.order import ball, oracle_qdir
 from raagkit.presentation import CommutationGraph, load_graph
 
@@ -93,14 +93,13 @@ def qdir_oracle(balls):
             answers: list = []
             shared: dict = {}
             for w in sorted(balls(name, 2), key=_shortlex):
-                ctx = WContext(w)
                 memo: dict = {}
 
-                def pred(u, v, ctx=ctx, memo=memo):
+                def pred(u, v, w=w, memo=memo):
                     key = (u.codes, v.codes)
                     got = memo.get(key)
                     if got is None:
-                        got = memo[key] = preceq(ctx, u, v)
+                        got = memo[key] = preceq(w, u, v)
                     return got
 
                 for x in b3:

@@ -220,16 +220,16 @@ def ref_random_codes(rng: random.Random, graph: CommutationGraph, max_len: int, 
     return w
 
 
-def ref_stabilized(ctx, x: tuple[int, ...], y: tuple[int, ...], term) -> tuple[int, ...]:
-    """The limit of term(n) for n = 0, 1, 2, … under the WContext ctx.
+def ref_stabilized(w, x: tuple[int, ...], y: tuple[int, ...], term) -> tuple[int, ...]:
+    """The limit of term(n) for n = 0, 1, 2, … for the base element w.
 
     Accepted after l(x⁻¹y) + 2 equal consecutive values; gives up after
     8·(l(x) + l(y) + l(w) + 4) steps.
     """
-    need = len(mul_codes(ctx.graph, inv_codes(ctx.graph, x), y)) + 2
+    need = len(mul_codes(w.graph, inv_codes(w.graph, x), y)) + 2
     last = None
     streak = 0
-    for n in range(8 * (len(x) + len(y) + len(ctx.w.codes) + 4)):
+    for n in range(8 * (len(x) + len(y) + len(w.codes) + 4)):
         m = term(n)
         if m == last:
             streak += 1

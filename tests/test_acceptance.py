@@ -23,7 +23,7 @@ from raagkit.checks import (
     outside_span,
 )
 from raagkit.conjugacy import are_conjugate, conjugacy_witness
-from raagkit.dynamics import WContext, fold_phi, qdir
+from raagkit.dynamics import fold_phi, qdir
 from raagkit.elements import GroupElement, element, render
 from raagkit.order import (
     join_codes,
@@ -182,11 +182,10 @@ def test_criterion_07_quasidirection_oracle(graphs, balls, qdir_oracle):
         b2 = sorted_ball(balls, name, 2)
         b3 = sorted_ball(balls, name, 3)
         for w in b2:
-            ctx = WContext(w)
             for x in b3:
                 for y in b3:
                     ref = next(answers)
-                    assert qdir(ctx, x, y) == ref, (name, render(w), render(x), render(y))
+                    assert qdir(w, x, y) == ref, (name, render(w), render(x), render(y))
                     checked += 1
         assert next(answers, None) is None
 
@@ -195,12 +194,12 @@ def test_criterion_07_quasidirection_oracle(graphs, balls, qdir_oracle):
         g = graphs[name]
         rng = stream(7, f"acceptance-band:{name}")
         for _ in range(2000):
-            ctx = WContext(rand_elem(rng, g, 3))
+            w = rand_elem(rng, g, 3)
             x = rand_elem(rng, g, 4)
             y = rand_elem(rng, g, 4)
             z = rand_elem(rng, g, 4)
-            assert qdir(ctx, x, x) == x
-            assert qdir(ctx, qdir(ctx, x, y), z) == qdir(ctx, qdir(ctx, x, z), y)
+            assert qdir(w, x, x) == x
+            assert qdir(w, qdir(w, x, y), z) == qdir(w, qdir(w, x, z), y)
             band += 1
     print(
         f"criterion 7: PASS  direction operation vs enumerated gate, {checked} "

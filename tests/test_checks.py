@@ -4,6 +4,7 @@ import pytest
 
 from raagkit import checks
 from raagkit.checks import SUITE_ORDER, SUITES, failure_count, run_suite
+from raagkit.errors import ResourceCapError
 from raagkit.structure import CentralizerPresentation, centralizer
 
 SAMPLES = 40
@@ -138,6 +139,26 @@ class TestCompletenessCanFail:
         report = run_suite("structure", graphs[name], samples=SAMPLES, seed=2, max_len=8)
         by_name = {r["axiom"]: r for r in report}
         assert by_name["centralizer-reaches-commuting-ball"]["failures"]
+
+
+class TestRejectionBudget:
+    # A hypothesis that rejects every draw must exhaust the attempt budget
+    # and raise, not loop forever.
+    @pytest.mark.parametrize(
+        "suite, hypothesis, reject, what",
+        [
+            ("agroup-axioms", "orth_codes_definitional", lambda g, x, y: False, "orthogonal pairs"),
+            ("agroup-axioms", "join_codes", lambda g, x, y: None, "inverse-prefix axiom"),
+            ("agroup-axioms", "meet_codes", lambda g, x, y: (0,), "meet-triviality axiom"),
+            ("structure", "is_orthogonal", lambda x, y: False, "orthogonal prefix pairs"),
+        ],
+        ids=["orthogonal", "inverse-prefix", "meet-triviality", "prefix-pairs"],
+    )
+    def test_rejecting_hypothesis_hits_the_cap(self, monkeypatch, f2xz, suite, hypothesis, reject, what):
+        monkeypatch.setattr(checks, hypothesis, reject)
+        with pytest.raises(ResourceCapError, match=what) as info:
+            run_suite(suite, f2xz, samples=1, seed=0)
+        assert info.value.cap == checks._ATTEMPT_FACTOR
 
 
 class TestFailureCount:

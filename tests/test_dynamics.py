@@ -8,8 +8,6 @@ from conftest import KERNEL_GRAPHS
 from oracles_bf import ref_preceq, ref_stabilized
 from raagkit.conjugacy import cyclic_reduce, is_cyclically_reduced
 from raagkit.dynamics import (
-    WContext,
-    _slice_ends,
     decompose_axis,
     dir_join,
     equiv,
@@ -24,6 +22,7 @@ from raagkit.dynamics import (
 )
 from raagkit.checks import enumerated_equiv
 from raagkit.elements import GroupElement, element, identity, inv_codes, mul_codes, pow_codes, power
+from raagkit.errors import GraphMismatchError
 from raagkit.order import (
     interval,
     is_orthogonal,
@@ -43,6 +42,39 @@ def _rand(rng, g, max_len):
     return GroupElement(g, random_codes(rng, g, max_len))
 
 
+# Every public function of dynamics, with the number of elements it takes after w.
+DYNAMICS = [
+    pytest.param(fn, arity, id=fn.__name__)
+    for fn, arity in (
+        (fold_phi, 1),
+        (in_axis, 1),
+        (preceq, 2),
+        (sim, 2),
+        (equiv, 2),
+        (ll, 2),
+        (qdir, 2),
+        (in_axis_slice, 2),
+        (psi_fold, 2),
+        (decompose_axis, 2),
+        (dir_join, 3),
+    )
+]
+
+
+@pytest.mark.parametrize("fn, arity", DYNAMICS)
+def test_rejects_an_element_of_another_graph(free2, f2xz, fn, arity):
+    # w = c is cyclically reduced, so 1 lies on its axis and the call with
+    # every argument from f2xz is valid; one element of free2 in any
+    # position makes it fail.
+    args = [element(f2xz, "c")] + [identity(f2xz)] * arity
+    fn(*args)
+    for i in range(len(args)):
+        mixed = list(args)
+        mixed[i] = element(free2, "a")
+        with pytest.raises(GraphMismatchError):
+            fn(*mixed)
+
+
 class TestFoldPhi:
     def test_frozen(self, free2, f2xz):
         assert fold_phi(element(free2, "b"), element(free2, "a")) == identity(free2)
@@ -56,11 +88,11 @@ class TestFoldPhi:
         g = graphs[name]
         rng = stream(20, f"phi:{name}")
         for _ in range(1000):
-            ctx = WContext(_rand(rng, g, 5))
+            w = _rand(rng, g, 5)
             x = _rand(rng, g, 6)
-            fx = fold_phi(ctx, x)
-            assert fold_phi(ctx, fx) == fx
-            assert in_axis(ctx, fx)
+            fx = fold_phi(w, x)
+            assert fold_phi(w, fx) == fx
+            assert in_axis(w, fx)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_prefix_property_for_reduced_base(self, graphs, name):
@@ -78,14 +110,16 @@ class TestFoldPhi:
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_conjugate_core_identity(self, graphs, name):
-        # The folding image equals x times the conjugator of x⁻¹wx.
+        # The folding image equals x times the conjugator of x⁻¹wx, and the
+        # median of (wx, x, w⁻¹x) that defines it.
         g = graphs[name]
         rng = stream(22, f"phicore:{name}")
         for _ in range(500):
             w = _rand(rng, g, 5)
             x = _rand(rng, g, 5)
-            u = cyclic_reduce(~x * w * x).conjugator
-            assert fold_phi(w, x) == x * u
+            fx = fold_phi(w, x)
+            assert fx == x * cyclic_reduce(~x * w * x).conjugator
+            assert fx == median(w * x, x, ~w * x)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_power_has_same_folding(self, graphs, name):
@@ -119,13 +153,13 @@ class TestFoldPhi:
         g = graphs[name]
         rng = stream(25, f"gate:{name}")
         for _ in range(150):
-            ctx = WContext(_rand(rng, g, 4))
-            c = fold_phi(ctx, _rand(rng, g, 3))
+            w = _rand(rng, g, 4)
+            c = fold_phi(w, _rand(rng, g, 3))
             x = c * _rand(rng, g, 4)
             axis_part = {
-                z for z in interval(c, x).elements if in_axis(ctx, z)
+                z for z in interval(c, x).elements if in_axis(w, z)
             }
-            assert axis_part == interval(c, fold_phi(ctx, x)).elements
+            assert axis_part == interval(c, fold_phi(w, x)).elements
 
 
 class TestPreceq:
@@ -143,11 +177,11 @@ class TestPreceq:
         rng = stream(26, f"preorder:{name}")
         b2 = sorted(balls(name, 2), key=lambda e: (len(e.codes), e.codes))
         for _ in range(12):
-            ctx = WContext(_rand(rng, g, 4))
+            w = _rand(rng, g, 4)
             for x in b2:
-                assert preceq(ctx, x, x)
+                assert preceq(w, x, x)
             below = {
-                (x, y) for x in b2 for y in b2 if preceq(ctx, x, y)
+                (x, y) for x in b2 for y in b2 if preceq(w, x, y)
             }
             for x, y in below:
                 for z in b2:
@@ -162,11 +196,11 @@ class TestPreceq:
         rng = stream(50, f"preceq-ref:{name}")
         seen = set()
         for _ in range(40):
-            ctx = WContext(rng.choice(b3))
+            w = rng.choice(b3)
             for _ in range(100):
                 x, y = rng.choice(b3), rng.choice(b3)
-                got = preceq(ctx, x, y)
-                assert got == ref_preceq(ctx.w, x, y), (ctx.w, x, y)
+                got = preceq(w, x, y)
+                assert got == ref_preceq(w, x, y), (w, x, y)
                 seen.add(got)
         assert seen == {True, False}
 
@@ -185,14 +219,14 @@ class TestPreceq:
         rng = stream(28, f"hered:{name}")
         done = 0
         while done < 300:
-            ctx = WContext(_rand(rng, g, 4))
+            w = _rand(rng, g, 4)
             x = _rand(rng, g, 4)
             y = _rand(rng, g, 4)
-            if not preceq(ctx, x, y):
+            if not preceq(w, x, y):
                 continue
             cell = interval(x, y).elements
             for z in cell:
-                assert preceq(ctx, x, z) and preceq(ctx, z, y)
+                assert preceq(w, x, z) and preceq(w, z, y)
             done += 1
 
     @pytest.mark.parametrize("name", FIXTURES)
@@ -202,14 +236,14 @@ class TestPreceq:
         rng = stream(29, f"cong:{name}")
         done = 0
         while done < 1000:
-            ctx = WContext(_rand(rng, g, 4))
+            w = _rand(rng, g, 4)
             x = _rand(rng, g, 4)
             y = _rand(rng, g, 4)
-            if not preceq(ctx, y, x):
+            if not preceq(w, y, x):
                 continue
             a = _rand(rng, g, 4)
             b = _rand(rng, g, 4)
-            assert preceq(ctx, median(a, b, y), median(a, b, x))
+            assert preceq(w, median(a, b, y), median(a, b, x))
             done += 1
 
     @pytest.mark.parametrize("name", FIXTURES)
@@ -307,9 +341,9 @@ class TestEquivAndLl:
         g = graphs[name]
         rng = stream(35, f"ll:{name}")
         for _ in range(300):
-            ctx = WContext(_rand(rng, g, 4))
+            w = _rand(rng, g, 4)
             x = _rand(rng, g, 4)
-            assert ll(ctx, x, fold_phi(ctx, x))
+            assert ll(w, x, fold_phi(w, x))
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_ll_steps_along_axis(self, graphs, name):
@@ -337,10 +371,9 @@ class TestQdir:
         answers = iter(qdir_oracle(name))
         b3 = sorted(balls(name, 3), key=lambda e: (len(e.codes), e.codes))
         for w in sorted(balls(name, 2), key=lambda e: (len(e.codes), e.codes)):
-            ctx = WContext(w)
             for x in b3:
                 for y in b3:
-                    assert qdir(ctx, x, y) == next(answers)
+                    assert qdir(w, x, y) == next(answers)
         assert next(answers, None) is None
 
     @pytest.mark.parametrize("name", FIXTURES)
@@ -348,11 +381,11 @@ class TestQdir:
         g = graphs[name]
         rng = stream(37, f"band:{name}")
         for _ in range(300):
-            ctx = WContext(_rand(rng, g, 4))
+            w = _rand(rng, g, 4)
             x, y, z = (_rand(rng, g, 4) for _ in range(3))
-            assert qdir(ctx, x, x) == x
-            left = qdir(ctx, qdir(ctx, x, y), z)
-            right = qdir(ctx, qdir(ctx, x, z), y)
+            assert qdir(w, x, x) == x
+            left = qdir(w, qdir(w, x, y), z)
+            right = qdir(w, qdir(w, x, z), y)
             assert left == right
 
     @pytest.mark.parametrize("name", KERNEL_GRAPHS)
@@ -364,14 +397,14 @@ class TestQdir:
         rng = stream(38, f"recover:{name}")
         b2 = sorted(balls(name, 2), key=lambda e: (len(e.codes), e.codes))
         for _ in range(6):
-            ctx = WContext(_rand(rng, g, 3))
+            w = _rand(rng, g, 3)
             if name in FIXTURES:
                 pairs = itertools.product(b2, b2)
             else:
                 pairs = [(rng.choice(b2), rng.choice(b2)) for _ in range(1000)]
             for x, y in pairs:
-                assert preceq(ctx, x, y) == (qdir(ctx, y, x) == y)
-                assert equiv(ctx, x, y) == enumerated_equiv(ctx, x, y)
+                assert preceq(w, x, y) == (qdir(w, y, x) == y)
+                assert equiv(w, x, y) == enumerated_equiv(w, x, y)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_join_of_both_directions_is_folding(self, graphs, name):
@@ -380,10 +413,9 @@ class TestQdir:
         rng = stream(39, f"joinfold:{name}")
         for _ in range(300):
             w = _rand(rng, g, 4)
-            ctx, ctx_i = WContext(w), WContext(~w)
             x, y = _rand(rng, g, 4), _rand(rng, g, 4)
-            lhs = median(qdir(ctx, x, y), qdir(ctx_i, x, y), x)
-            assert lhs == median(x, y, fold_phi(ctx, x))
+            lhs = median(qdir(w, x, y), qdir(~w, x, y), x)
+            assert lhs == median(x, y, fold_phi(w, x))
 
 
 class TestAxisSlices:
@@ -408,38 +440,24 @@ class TestAxisSlices:
         g = graphs[name]
         rng = stream(40, f"slice:{name}")
         for _ in range(400):
-            ctx = WContext(_rand(rng, g, 4))
-            a = fold_phi(ctx, _rand(rng, g, 4))
+            w = _rand(rng, g, 4)
+            a = fold_phi(w, _rand(rng, g, 4))
             x = _rand(rng, g, 5)
-            z = psi_fold(ctx, a, x)
-            assert in_axis_slice(ctx, a, z)
-            assert psi_fold(ctx, a, z) == z
-            assert in_axis_slice(ctx, a, x) == (z == x)
-
-    def test_slice_ends_are_not_cached(self, kernel_graphs):
-        # The slice end w⁻ⁿa is a long word that no later call reads, so it
-        # must not enter the context's inverse cache.
-        g = kernel_graphs["C5"]
-        rng = stream(42, "slice-cache")
-        ctx = WContext(GroupElement(g, random_codes(rng, g, 12, 1)))
-        for _ in range(20):
-            a = fold_phi(ctx, _rand(rng, g, 12))
-            x = _rand(rng, g, 12)
-            lo, _ = _slice_ends(ctx, a.codes, x.codes)
-            in_axis_slice(ctx, a, x)
-            assert lo not in ctx._inv
-            assert inv_codes(g, lo) not in ctx._inv
+            z = psi_fold(w, a, x)
+            assert in_axis_slice(w, a, z)
+            assert psi_fold(w, a, z) == z
+            assert in_axis_slice(w, a, x) == (z == x)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_powers_of_base_stay_in_slice(self, graphs, name):
         g = graphs[name]
         rng = stream(41, f"slicepow:{name}")
         for _ in range(200):
-            ctx = WContext(_rand(rng, g, 4))
-            a = fold_phi(ctx, _rand(rng, g, 3))
+            w = _rand(rng, g, 4)
+            a = fold_phi(w, _rand(rng, g, 3))
             for n in (-2, -1, 0, 1, 2):
-                t = GroupElement(g, pow_codes(g, ctx.w.codes, n)) * a
-                assert in_axis_slice(ctx, a, t)
+                t = GroupElement(g, pow_codes(g, w.codes, n)) * a
+                assert in_axis_slice(w, a, t)
 
 
 class TestDecomposeAxis:
@@ -467,14 +485,14 @@ class TestDecomposeAxis:
         g = graphs[name]
         rng = stream(42, f"decomp:{name}")
         for _ in range(400):
-            ctx = WContext(_rand(rng, g, 4))
-            a = fold_phi(ctx, _rand(rng, g, 4))
-            x = fold_phi(ctx, _rand(rng, g, 5))
-            y, z = decompose_axis(ctx, a, x)
+            w = _rand(rng, g, 4)
+            a = fold_phi(w, _rand(rng, g, 4))
+            x = fold_phi(w, _rand(rng, g, 5))
+            y, z = decompose_axis(w, a, x)
             assert y * ~a * z == x
             assert z * ~a * y == x
-            assert sim(ctx, y, a)
-            assert in_axis_slice(ctx, a, z)
+            assert sim(w, y, a)
+            assert in_axis_slice(w, a, z)
 
 
 class TestDirJoin:
@@ -498,24 +516,24 @@ class TestDirJoin:
         rng = stream(43, f"altjoin:{name}")
         b2 = list(balls(name, 2))
         for _ in range(4):
-            ctx = WContext(_rand(rng, g, 3))
+            w = _rand(rng, g, 3)
             a = _rand(rng, g, 3)
             for x in b2:
                 for y in b2:
-                    got = dir_join(ctx, a, x, y)
-                    assert got == median(qdir(ctx, x, y), a, qdir(ctx, y, x))
+                    got = dir_join(w, a, x, y)
+                    assert got == median(qdir(w, x, y), a, qdir(w, y, x))
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_semilattice_laws(self, graphs, name):
         g = graphs[name]
         rng = stream(44, f"joinlaws:{name}")
         for _ in range(200):
-            ctx = WContext(_rand(rng, g, 4))
+            w = _rand(rng, g, 4)
             a, x, y, z = (_rand(rng, g, 4) for _ in range(4))
-            assert dir_join(ctx, a, x, x) == x
-            assert dir_join(ctx, a, x, y) == dir_join(ctx, a, y, x)
-            assert dir_join(ctx, a, dir_join(ctx, a, x, y), z) == dir_join(
-                ctx, a, x, dir_join(ctx, a, y, z)
+            assert dir_join(w, a, x, x) == x
+            assert dir_join(w, a, x, y) == dir_join(w, a, y, x)
+            assert dir_join(w, a, dir_join(w, a, x, y), z) == dir_join(
+                w, a, x, dir_join(w, a, y, z)
             )
 
     @pytest.mark.parametrize("name", FIXTURES)
@@ -523,18 +541,18 @@ class TestDirJoin:
         g = graphs[name]
         rng = stream(45, f"joinbase:{name}")
         for _ in range(200):
-            ctx = WContext(_rand(rng, g, 4))
+            w = _rand(rng, g, 4)
             a, x, y = (_rand(rng, g, 4) for _ in range(3))
-            assert dir_join(ctx, a, x, y) == dir_join(ctx, fold_phi(ctx, a), x, y)
+            assert dir_join(w, a, x, y) == dir_join(w, fold_phi(w, a), x, y)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_ray_from_base(self, graphs, name):
         g = graphs[name]
         rng = stream(46, f"ray:{name}")
         for _ in range(200):
-            ctx = WContext(_rand(rng, g, 4))
+            w = _rand(rng, g, 4)
             a, x = _rand(rng, g, 4), _rand(rng, g, 4)
-            assert dir_join(ctx, a, a, x) == qdir(ctx, a, x)
+            assert dir_join(w, a, a, x) == qdir(w, a, x)
 
 
 class TestConvexClosureOfOrbit:
@@ -546,11 +564,10 @@ class TestConvexClosureOfOrbit:
         rng = stream(47, f"orbit:{name}")
         for _ in range(300):
             w = _rand(rng, g, 4)
-            ctx = WContext(w)
-            a = fold_phi(ctx, _rand(rng, g, 4))
-            x = fold_phi(ctx, _rand(rng, g, 5))
-            y = psi_fold(ctx, a, x)
-            assert sim(ctx, x, y)
+            a = fold_phi(w, _rand(rng, g, 4))
+            x = fold_phi(w, _rand(rng, g, 5))
+            y = psi_fold(w, a, x)
+            assert sim(w, x, y)
             t = x * ~y
             assert t * w == w * t
             n = len((~a * y).codes) + 1
@@ -567,6 +584,12 @@ class TestGatesMatchReference:
     """The closed-form index against the streak loop it replaced."""
 
     @staticmethod
+    def phi(g, w, x):
+        """The folding by its definition, the median of (wx, x, w⁻¹x)."""
+        wx = mul_codes(g, w.codes, x.codes)
+        return median_codes(g, wx, x.codes, mul_codes(g, inv_codes(g, w.codes), x.codes))
+
+    @staticmethod
     def gate(g, x, y, target):
         """n ↦ Y(x, y, x·target(n)), which is x·(x⁻¹y ∩ target(n))."""
         t = mul_codes(g, inv_codes(g, x.codes), y.codes)
@@ -577,45 +600,45 @@ class TestGatesMatchReference:
         g = kernel_graphs[name]
         rng = stream(48, f"qdirref:{name}")
         for _ in range(400):
-            ctx = WContext(_rand(rng, g, 5))
+            w = _rand(rng, g, 5)
             x, y = _rand(rng, g, 5), _rand(rng, g, 5)
-            ix, phx = ctx.inv(x.codes), ctx.phi(x.codes)
+            ix, phx = inv_codes(g, x.codes), self.phi(g, w, x)
 
             def target(n):
-                return mul_codes(g, mul_codes(g, ix, pow_codes(g, ctx.w.codes, n)), phx)
+                return mul_codes(g, mul_codes(g, ix, pow_codes(g, w.codes, n)), phx)
 
             term = self.gate(g, x, y, target)
-            assert qdir(ctx, x, y).codes == ref_stabilized(ctx, x.codes, y.codes, term)
+            assert qdir(w, x, y).codes == ref_stabilized(w, x.codes, y.codes, term)
 
     @pytest.mark.parametrize("name", KERNEL_GRAPHS)
     def test_dir_join(self, kernel_graphs, name):
         g = kernel_graphs[name]
         rng = stream(49, f"joinref:{name}")
         for _ in range(300):
-            ctx = WContext(_rand(rng, g, 5))
+            w = _rand(rng, g, 5)
             a, x, y = (_rand(rng, g, 5) for _ in range(3))
-            ix, phx, phy = ctx.inv(x.codes), ctx.phi(x.codes), ctx.phi(y.codes)
+            ix, phx, phy = inv_codes(g, x.codes), self.phi(g, w, x), self.phi(g, w, y)
 
             def target(n):
-                wn = pow_codes(g, ctx.w.codes, n)
+                wn = pow_codes(g, w.codes, n)
                 inner = median_codes(g, mul_codes(g, wn, phx), a.codes, mul_codes(g, wn, phy))
                 return mul_codes(g, ix, inner)
 
             term = self.gate(g, x, y, target)
-            assert dir_join(ctx, a, x, y).codes == ref_stabilized(ctx, x.codes, y.codes, term)
+            assert dir_join(w, a, x, y).codes == ref_stabilized(w, x.codes, y.codes, term)
 
     @pytest.mark.parametrize("name", KERNEL_GRAPHS)
     def test_psi_fold(self, kernel_graphs, name):
         g = kernel_graphs[name]
         rng = stream(51, f"psiref:{name}")
         for _ in range(300):
-            ctx = WContext(_rand(rng, g, 5))
-            a = fold_phi(ctx, _rand(rng, g, 5))
+            w = _rand(rng, g, 5)
+            a = fold_phi(w, _rand(rng, g, 5))
             x = _rand(rng, g, 6)
 
             def term(n):
-                wn = pow_codes(g, ctx.w.codes, n)
+                wn = pow_codes(g, w.codes, n)
                 lo = mul_codes(g, inv_codes(g, wn), a.codes)
                 return median_codes(g, lo, x.codes, mul_codes(g, wn, a.codes))
 
-            assert psi_fold(ctx, a, x).codes == ref_stabilized(ctx, a.codes, x.codes, term)
+            assert psi_fold(w, a, x).codes == ref_stabilized(w, a.codes, x.codes, term)

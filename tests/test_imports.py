@@ -12,17 +12,16 @@ import raagkit
 
 F2XZ = str(Path(__file__).resolve().parent.parent / "graphs" / "f2xz.txt")
 
-# Every name the package exported when its __init__ imported each module
-# eagerly, by home module.
+# Every name the package exports, by home module.
 EXPORTS = {
     "errors": "GraphMismatchError InvariantViolationError ParseError RaagError ResourceCapError",
-    "presentation": "CommutationGraph SignedLetter Word letter_order load_graph parse_graph parse_word render_word",
+    "presentation": "CommutationGraph SignedLetter Word load_graph parse_graph parse_word",
     "elements": "GroupElement element equal first_letters identity invert multiply normalize power render support",
     "order": "Interval ball boundary interval is_orthogonal is_orthogonal_definitional is_prefix join median "
     "meet oracle_qdir",
     "conjugacy": "CyclicReduction are_conjugate conjugacy_witness cyclic_reduce cyclically_reduced_conjugates "
     "is_cyclically_reduced max_root mth_root",
-    "dynamics": "WContext decompose_axis dir_join equiv fold_phi in_axis in_axis_slice ll preceq psi_fold qdir sim",
+    "dynamics": "decompose_axis dir_join equiv fold_phi in_axis in_axis_slice ll preceq psi_fold qdir sim",
     "structure": "CentralizerPresentation PrimitiveDecomposition center centralizer h_basis in_centralizer "
     "is_primitive prim_decompose s_perp_set",
     "checks": "SUITES check_agroup_axioms check_median_axioms failure_count run_suite",

@@ -15,7 +15,7 @@ import pytest
 from oracles_bf import ref_generated_within, ref_in_centralizer
 from raagkit.checks import outside_span
 from raagkit.conjugacy import cyclic_reduce, is_cyclically_reduced, max_root
-from raagkit.dynamics import WContext, fold_phi, in_axis, preceq
+from raagkit.dynamics import fold_phi, in_axis, preceq
 from raagkit.elements import GroupElement, element, identity, render
 from raagkit.errors import InvariantViolationError
 from raagkit.order import ball, boundary, interval, is_orthogonal, join, meet
@@ -321,41 +321,35 @@ class TestFoldingFactorization:
             for text in FACTOR_WORDS[name]:
                 w = element(g, text)
                 parts = [p for p, _ in prim_decompose(w).pairs]
-                ctx = WContext(w)
-                part_ctx = [WContext(p) for p in parts]
                 for x in balls(name, 4):
-                    assert in_axis(ctx, x) == all(in_axis(c, x) for c in part_ctx)
+                    assert in_axis(w, x) == all(in_axis(p, x) for p in parts)
 
     def test_folding_composes_over_primitives(self, graphs, balls):
         rng = stream(13, "folding-composition")
         for name, g in graphs.items():
             for text in FACTOR_WORDS[name]:
                 w = element(g, text)
-                ctx = WContext(w)
-                part_ctx = [WContext(p) for p, _ in prim_decompose(w).pairs]
+                parts = [p for p, _ in prim_decompose(w).pairs]
                 xs = list(balls(name, 2)) + [rand_elem(rng, g, 6) for _ in range(40)]
                 for x in xs:
-                    through = fold_phi(ctx, x)
+                    through = fold_phi(w, x)
                     forward = x
-                    for c in part_ctx:
-                        forward = fold_phi(c, forward)
+                    for p in parts:
+                        forward = fold_phi(p, forward)
                     backward = x
-                    for c in reversed(part_ctx):
-                        backward = fold_phi(c, backward)
+                    for p in reversed(parts):
+                        backward = fold_phi(p, backward)
                     assert through == forward == backward
 
     def test_preorder_is_conjunction_over_primitives(self, graphs, balls):
         for name, g in graphs.items():
             for text in FACTOR_WORDS[name]:
                 w = element(g, text)
-                ctx = WContext(w)
-                part_ctx = [WContext(p) for p, _ in prim_decompose(w).pairs]
+                parts = [p for p, _ in prim_decompose(w).pairs]
                 elems = list(balls(name, 2))
                 for x in elems:
                     for y in elems:
-                        assert preceq(ctx, x, y) == all(
-                            preceq(c, x, y) for c in part_ctx
-                        )
+                        assert preceq(w, x, y) == all(preceq(p, x, y) for p in parts)
 
     def test_centralizer_elements_stabilize_folding(self, graphs):
         # Translation by a commuting element moves the axis to itself, so it
@@ -367,11 +361,10 @@ class TestFoldingFactorization:
                 z = centralizer(w)
                 gens = list(z.raag_generators) + list(z.abelian_generators)
                 movers = sorted(ref_generated_within(g, gens, 4), key=lambda t: (len(t), t.codes))[:12]
-                ctx = WContext(w)
                 for t in movers:
                     for _ in range(10):
                         x = rand_elem(rng, g, 5)
-                        assert t * fold_phi(ctx, x) == fold_phi(ctx, t * x)
+                        assert t * fold_phi(w, x) == fold_phi(w, t * x)
 
 
 class TestHBasis:
