@@ -5,29 +5,27 @@ encoded as a tuple of ints (see presentation.letter_code). Two words represent
 the same element iff their canonical tuples are equal, so equality is a byte
 comparison and the word problem is solved by `normalize`.
 
-The canonical form is computed in two passes:
+Up to SPLICE_MAX letters one splice loop (`_splice`) computes every
+canonical form: it appends letters one at a time to a list that stays
+canonical, each deleting the last letter of its generator or inserted in
+place after a backward scan, O(n) per letter.  From the empty list it gives
+`canon_codes` and `inv_codes`, from a copy of a canonical a `mul_codes`.
+
+Longer words take two passes:
 
 1. reduction: a stack-per-generator sweep cancels a letter against a pending
    inverse exactly when every letter stacked between them commutes with it;
 2. shortlex extraction: the least topological order of the word's dependence
    graph, where each letter depends on the earlier letters it does not
-   commute with.  Up to SHORTLEX_SCAN_MAX letters this is a scan that
-   repeatedly removes the least letter commuting with everything before it,
-   O(n²) but with the smallest constant.  Above it, a min-heap emits the
-   least available letter, and a letter becomes available once every earlier
-   letter blocking it is emitted, which per-generator counters track:
-   O(n·d + n log n) for n letters, where d is the number of generators
-   that block one generator (itself included).
+   commute with.  A min-heap emits the least available letter, and a letter
+   becomes available once every earlier letter blocking it is emitted, which
+   per-generator counters track: O(n·d + n log n) for n letters, where d is
+   the number of generators that block one generator (itself included).
 
 Pass 1 yields some reduced word of the element; pass 2 picks the least
 linearization of its dependence order, which is the shortlex-least reduced
 word since all reduced words of an element have the same length and multiset
-of letters.  Both passes together cost O(n·d + n log n).
-
-Multiplying a canonical word on the right by a short one needs neither pass:
-the left factor is copied into one list once, and each letter of the right
-factor either deletes the last letter of its generator or is inserted in
-place, in O(n) per letter, with one tuple built at the end (see `mul_codes`).
+of letters.
 
 Module-level functions ending in `_codes` work on raw int tuples for speed;
 the GroupElement wrapper and the named operations are the public surface.
@@ -48,20 +46,12 @@ from .presentation import (
 )
 
 
-# Words longer than this take the heap path in shortlex_codes.  The scan is
-# quadratic but cheaper per step.  Measured on reduced random words, the two
-# cross over at 10-12 letters on free2, f2xz, C5 and K_8, about 22 on
-# G(20, 0.3) and about 56 on G(64, 0.3), where each generator has ~45
-# blockers; desk-scale products (two words of length <= 8) stay on the scan.
-SHORTLEX_SCAN_MAX = 16
-
-# Right factors up to this length are spliced letter by letter into one list
-# holding the left factor.  Each splice scans back over the letters that
-# commute with the new one, so the worst case grows with l(a)·l(b): on K_8, a
-# 1024-letter word times 16 copies of its first letter costs 1.3 times
-# canon_codes.  Desk-scale products (both factors of length <= 8) are 3-4
-# times cheaper this way.
-MUL_SPLICE_MAX = 16
+# Words, inverses and right factors of at most this many letters go through
+# `_splice`, longer ones through `reduce_codes` and `_shortlex_heap`.  The
+# splice is quadratic where letters commute: on random raw words (2-vCPU Xeon,
+# Python 3.11.7) the two cross near 32 letters on K_8 and 64 on Z^2, while on
+# C5 and G(20, 0.3) the splice is faster up to 1024 letters.
+SPLICE_MAX = 16
 
 
 def reduce_codes(graph: CommutationGraph, codes) -> list[int]:
@@ -134,61 +124,17 @@ def _shortlex_heap(graph: CommutationGraph, word) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _shortlex_scan(graph: CommutationGraph, word) -> tuple[int, ...]:
-    """Least linearization by repeatedly removing the least letter that
-    commutes with everything before it."""
-    n = len(word)
-    if n <= 1:
-        return tuple(word)
-    block = graph.block_mask
-    w = list(word)
-    out: list[int] = []
-    for _ in range(n - 1):
-        seen = 0
-        best_val = -1
-        best_idx = 0
-        for i, l in enumerate(w):
-            if (best_val < 0 or l < best_val) and not (seen & block[l >> 1]):
-                best_val = l
-                best_idx = i
-            seen |= 1 << (l >> 1)
-        out.append(best_val)
-        del w[best_idx]
-    out.append(w[0])
-    return tuple(out)
+def _splice(block, out: list[int], b) -> tuple[int, ...]:
+    """Canonical form of out·b, for a canonical list `out` and any letters b.
 
-
-def shortlex_codes(graph: CommutationGraph, word) -> tuple[int, ...]:
-    """Least linearization of a reduced word's dependence order."""
-    if len(word) > SHORTLEX_SCAN_MAX:
-        return _shortlex_heap(graph, word)
-    return _shortlex_scan(graph, word)
-
-
-def canon_codes(graph: CommutationGraph, codes) -> tuple[int, ...]:
-    """Canonical (shortlex-least reduced) tuple for an arbitrary letter sequence."""
-    return shortlex_codes(graph, reduce_codes(graph, codes))
-
-
-def mul_codes(graph: CommutationGraph, a, b) -> tuple[int, ...]:
-    """Canonical form of the product of two canonical tuples.
-
-    A right factor of at most MUL_SPLICE_MAX letters is spliced into one list
-    holding a, one letter s at a time, O(l(a)) per letter; a longer one goes
-    through canon_codes.  Each splice keeps the list canonical.  Let p be the
-    last position whose generator blocks s.  When the letter at p is s^-1 it
-    is a last letter of the word and cancels; deleting a maximal element of
-    the dependence order leaves the greedy least order otherwise unchanged.
-    Otherwise s becomes available right after position p and, having no
-    successor, the greedy order emits it before the first later letter that
-    is larger than it.
+    Each letter s of b is spliced into `out`, which stays canonical.  Let p
+    be the last position whose generator blocks s.  When the letter at p is
+    s^-1 it is a last letter of the word and cancels; deleting a maximal
+    element of the dependence order leaves the greedy least order otherwise
+    unchanged.  Otherwise s becomes available right after position p and,
+    having no successor, the greedy order emits it before the first later
+    letter that is larger than it.  `block` is the graph's block_mask.
     """
-    if not a:
-        return tuple(b)
-    if len(b) > MUL_SPLICE_MAX:
-        return canon_codes(graph, a + b)
-    block = graph.block_mask
-    out = list(a)
     for s in b:
         m = block[s >> 1]
         p = len(out) - 1
@@ -205,10 +151,33 @@ def mul_codes(graph: CommutationGraph, a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
+def canon_codes(graph: CommutationGraph, codes) -> tuple[int, ...]:
+    """Canonical (shortlex-least reduced) tuple for an arbitrary letter sequence."""
+    if len(codes) <= SPLICE_MAX:
+        return _splice(graph.block_mask, [], codes)
+    return _shortlex_heap(graph, reduce_codes(graph, codes))
+
+
+def mul_codes(graph: CommutationGraph, a, b) -> tuple[int, ...]:
+    """Canonical form of the product of two canonical tuples.
+
+    A right factor of at most SPLICE_MAX letters is spliced into a copy of a,
+    O(l(a)) per letter; a longer one goes through canon_codes.
+    """
+    if not a:
+        return tuple(b)
+    if len(b) > SPLICE_MAX:
+        return canon_codes(graph, a + b)
+    return _splice(graph.block_mask, list(a), b)
+
+
 def inv_codes(graph: CommutationGraph, t) -> tuple[int, ...]:
     """Canonical form of the inverse. The reversed sign-flipped word is already
-    reduced, so only the shortlex pass is needed."""
-    return shortlex_codes(graph, [l ^ 1 for l in reversed(t)])
+    reduced, so a long one needs only the shortlex pass."""
+    r = [l ^ 1 for l in reversed(t)]
+    if len(r) <= SPLICE_MAX:
+        return _splice(graph.block_mask, [], r)
+    return _shortlex_heap(graph, r)
 
 
 def pow_codes(graph: CommutationGraph, t, n: int) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Optional
 from .errors import DEFAULT_INTERVAL_CAP, InvariantViolationError, ResourceCapError
 from .presentation import CommutationGraph
 from .elements import (
+    SPLICE_MAX,
     GroupElement,
     _require_same_graph,
     inv_codes,
@@ -59,19 +60,41 @@ def meet_codes(graph: CommutationGraph, a, b) -> tuple[int, ...]:
     Surviving letters of b are not stacked: a survivor only hides the a⁻¹
     entries below it, so a mask of the generators it blocks is enough, and
     the sweep stops once that mask covers every generator.
+
+    When both words have at most SPLICE_MAX letters no piles are built: a
+    backward scan over the uncancelled a⁻¹ letters, as in `_splice`, finds
+    the last one that blocks s.  Survivors of b exist only in `hidden`, so
+    when s's generator is not hidden that letter is its pile's top, and s
+    cancels exactly when it is s⁻¹.
     """
     if not a or not b:
         return ()
-    blockers = graph.blockers
     block = graph.block_mask
     full = (1 << graph.ngens) - 1
+    pending = [l ^ 1 for l in reversed(a)]  # a⁻¹: cancelled letters deleted, or -1 on piles
+    hidden = 0  # generators whose pile has a surviving letter of b on top
+    cancelled: list[int] = []
+    if len(a) <= SPLICE_MAX and len(b) <= SPLICE_MAX:
+        for s in b:
+            g = s >> 1
+            m = block[g]
+            if not (hidden >> g) & 1:
+                p = len(pending) - 1
+                while p >= 0 and not (m >> (pending[p] >> 1)) & 1:
+                    p -= 1
+                if p >= 0 and pending[p] == s ^ 1:
+                    del pending[p]
+                    cancelled.append(s)
+                    continue
+            hidden |= m
+            if hidden == full:
+                break
+        return tuple(cancelled)
+    blockers = graph.blockers
     piles: list[list[int]] = [[] for _ in range(graph.ngens)]
-    pending = [l ^ 1 for l in reversed(a)]  # a⁻¹ by entry id, -1 once cancelled
     for eid, l in enumerate(pending):
         for h in blockers[l >> 1]:
             piles[h].append(eid)
-    hidden = 0  # generators whose pile has a surviving letter of b on top
-    cancelled: list[int] = []
     for s in b:
         g = s >> 1
         if not (hidden >> g) & 1:

@@ -69,9 +69,9 @@ from .elements import canon_codes
 MAX_SAMPLE_LEN = 256
 
 # The most additions `random_codes` spends on a table of counts: the
-# automaton's transitions times (max_len + 1). G(64, 0.3) has 13,245 states
-# and 1.49M transitions, so it is served up to max_len 10, in 1.5 s and
-# ~35 MB.
+# automaton's transitions times (max_len + 1). G(64, 0.3) has 12,103 states
+# and 1.35M transitions, so it is served up to max_len 11, in 1.3-1.7 s and
+# 28.5 MB (tracemalloc peak).
 MAX_TABLE_WORK = 1 << 24
 
 

@@ -45,13 +45,20 @@ def random_graph(n: int, p: float, seed: int) -> CommutationGraph:
     return CommutationGraph([f"x{i}" for i in range(n)], pairs)
 
 
-KERNEL_GRAPHS = ["free2", "z2", "f2xz", "C5", "G20"]
+def complete_graph(n: int) -> CommutationGraph:
+    """K_n: every pair commutes, so the group is Z^n."""
+    return CommutationGraph([f"x{i}" for i in range(n)], {frozenset((i, j)) for i in range(n) for j in range(i + 1, n)})
+
+
+KERNEL_GRAPHS = ["free2", "z2", "f2xz", "C5", "G20", "K8"]
 
 
 @pytest.fixture(scope="session")
 def kernel_graphs(graphs):
-    """The fixtures plus C5 and G(20, 0.3), for the word-kernel property tests."""
-    return {**graphs, "C5": cycle_graph(5), "G20": random_graph(20, 0.3, seed=20)}
+    """The fixtures plus C5, G(20, 0.3) and K_8, for the word-kernel property
+    tests.  On K_8 every letter commutes with every other generator, so the
+    splice scans are longest and letters are inserted mid-list."""
+    return {**graphs, "C5": cycle_graph(5), "G20": random_graph(20, 0.3, seed=20), "K8": complete_graph(8)}
 
 
 _BALL_CACHE: dict[tuple[int, int], frozenset] = {}

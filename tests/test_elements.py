@@ -10,10 +10,9 @@ from conftest import KERNEL_GRAPHS
 from oracles_bf import brute_canonical, minimal_multiset, rewriting_closure
 from raagkit.checks import outside_span
 from raagkit.elements import (
-    MUL_SPLICE_MAX,
-    SHORTLEX_SCAN_MAX,
+    SPLICE_MAX,
     _shortlex_heap,
-    _shortlex_scan,
+    _splice,
     canon_codes,
     element,
     first_letters,
@@ -24,7 +23,6 @@ from raagkit.elements import (
     pow_codes,
     reduce_codes,
     render,
-    shortlex_codes,
     support,
 )
 from raagkit.errors import GraphMismatchError
@@ -52,6 +50,11 @@ def _random_reduced(rng: random.Random, g, length: int) -> list[int]:
     return w
 
 
+def _ref_canon(g, raw) -> tuple[int, ...]:
+    """The two-pass canonical form, independent of the splice at any length."""
+    return _shortlex_heap(g, reduce_codes(g, raw))
+
+
 class TestCanonicalOracle:
     """normalize must pick the shortlex-least minimal-length closure word."""
 
@@ -64,7 +67,7 @@ class TestCanonicalOracle:
             raw = _random_raw(rng, g.ngens, ORACLE_MAX_LEN)
             want = brute_canonical(g, raw)
             assert canon_codes(g, raw) == want
-            assert _shortlex_heap(g, reduce_codes(g, raw)) == want
+            assert _ref_canon(g, raw) == want
 
     @pytest.mark.parametrize("name", ["free2", "z2", "f2xz"])
     def test_minimal_length_letter_multiset_is_unique(self, graphs, name):
@@ -85,17 +88,31 @@ class TestCanonicalOracle:
 class TestShortlexSwitch:
     @pytest.mark.parametrize("name", KERNEL_GRAPHS)
     def test_heap_equals_scan_on_both_sides(self, kernel_graphs, name):
-        # Every prefix of a random reduced word is reduced: lengths 0..128,
-        # which straddle the switch.
-        assert 0 < SHORTLEX_SCAN_MAX < 128
+        # Every prefix of a raw word, lengths 0..3·SPLICE_MAX, which straddle
+        # the switch; the splice itself is compared at every length too.
         g = kernel_graphs[name]
-        rng = random.Random(f"shortlex-switch:{name}")
+        rng = random.Random(f"splice-switch:{name}")
         for _ in range(3):
-            w = _random_reduced(rng, g, 128)
+            raw = [rng.randrange(2 * g.ngens) for _ in range(3 * SPLICE_MAX)]
+            for n in range(len(raw) + 1):
+                want = _ref_canon(g, raw[:n])
+                assert canon_codes(g, raw[:n]) == want
+                assert _splice(g.block_mask, [], raw[:n]) == want
+
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_inverse_and_product_match_heap_on_both_sides(self, kernel_graphs, name):
+        # A reduced word w of 3·SPLICE_MAX letters split as w = a·b at every
+        # point, so l(a) and l(b) both cross the switch.
+        g = kernel_graphs[name]
+        rng = random.Random(f"splice-inv-mul:{name}")
+        for _ in range(3):
+            w = _random_reduced(rng, g, 3 * SPLICE_MAX)
+            whole = _ref_canon(g, w)
             for n in range(len(w) + 1):
-                want = _shortlex_scan(g, w[:n])
-                assert _shortlex_heap(g, w[:n]) == want
-                assert shortlex_codes(g, w[:n]) == want
+                a = _ref_canon(g, w[:n])
+                b = _ref_canon(g, w[n:])
+                assert inv_codes(g, a) == _ref_canon(g, [l ^ 1 for l in reversed(w[:n])])
+                assert mul_codes(g, a, b) == whole
 
 
 class TestMulLetter:
@@ -104,21 +121,21 @@ class TestMulLetter:
         g = kernel_graphs[name]
         rng = random.Random(f"mul-letter:{name}")
         for length in range(49):
-            a = canon_codes(g, _random_reduced(rng, g, length))
+            a = _ref_canon(g, _random_reduced(rng, g, length))
             for s in range(2 * g.ngens):
-                assert mul_codes(g, a, (s,)) == canon_codes(g, a + (s,))
+                assert mul_codes(g, a, (s,)) == _ref_canon(g, a + (s,))
 
     @pytest.mark.parametrize("name", KERNEL_GRAPHS)
     def test_short_and_long_right_factors_match_canon(self, kernel_graphs, name):
-        # Both sides of MUL_SPLICE_MAX, with factors that partly cancel.
+        # Both sides of SPLICE_MAX, with factors that partly cancel.
         g = kernel_graphs[name]
         rng = random.Random(f"mul-short:{name}")
         for _ in range(300):
-            a = canon_codes(g, _random_reduced(rng, g, rng.randint(0, 40)))
-            b = canon_codes(g, _random_reduced(rng, g, rng.randint(0, MUL_SPLICE_MAX + 4)))
+            a = _ref_canon(g, _random_reduced(rng, g, rng.randint(0, 40)))
+            b = _ref_canon(g, _random_reduced(rng, g, rng.randint(0, SPLICE_MAX + 4)))
             if rng.random() < 0.5:
-                b = mul_codes(g, inv_codes(g, a[-rng.randint(0, len(a)):]), b)
-            assert mul_codes(g, a, b) == canon_codes(g, a + b)
+                b = _ref_canon(g, [l ^ 1 for l in reversed(a[-rng.randint(0, len(a)):])] + list(b))
+            assert mul_codes(g, a, b) == _ref_canon(g, a + b)
 
     def test_cancels_a_last_letter(self, f2xz):
         a = element(f2xz, "a b c^5")

@@ -8,7 +8,7 @@ import pytest
 from conftest import KERNEL_GRAPHS
 from oracles_bf import brute_interval, brute_median, brute_prefixes, ref_meet
 from raagkit.checks import check_agroup_axioms, check_median_axioms
-from raagkit.elements import canon_codes, element, identity, inv_codes, mul_codes
+from raagkit.elements import SPLICE_MAX, canon_codes, element, identity, inv_codes, mul_codes
 from raagkit.errors import InvariantViolationError, ResourceCapError
 from raagkit.order import (
     _reduced_product,
@@ -115,17 +115,35 @@ class TestMeet:
     @pytest.mark.parametrize("name", KERNEL_GRAPHS)
     def test_matches_reference_meet(self, kernel_graphs, name):
         # Pairs grown from a shared random prefix, so the meet is long and
-        # both the scan and the heap shortlex paths of the result are used.
+        # the pile sweep is used; then pairs with both sides of at most
+        # SPLICE_MAX letters (the short scan), and pairs with one side just
+        # over it (the piles again).
         g = kernel_graphs[name]
         rng = random.Random(f"ref-meet:{name}")
 
         def word(n):
             return canon_codes(g, [rng.randrange(2 * g.ngens) for _ in range(n)])
 
+        def grown(p, n):
+            # p extended by letters that do not cancel, cut to n letters.
+            x = p
+            while len(x) < n:
+                y = mul_codes(g, x, (rng.randrange(2 * g.ngens),))
+                if len(y) > len(x):
+                    x = y
+            return x[:n]
+
+        pairs = []
         for _ in range(300):
             p = word(rng.randint(0, 48))
-            x = mul_codes(g, p, word(rng.randint(0, 24)))
-            y = mul_codes(g, p, word(rng.randint(0, 24)))
+            pairs.append((mul_codes(g, p, word(rng.randint(0, 24))), mul_codes(g, p, word(rng.randint(0, 24)))))
+        for over in (False, True):
+            for _ in range(300):
+                p = word(rng.randint(0, SPLICE_MAX))
+                x = grown(p, rng.randint(0, SPLICE_MAX))
+                y = grown(p, SPLICE_MAX + 1 if over else rng.randint(0, SPLICE_MAX))
+                pairs.append((x, y))
+        for x, y in pairs:
             assert meet_codes(g, x, y) == ref_meet(g, x, y)
             assert meet_codes(g, y, x) == ref_meet(g, x, y)
 
