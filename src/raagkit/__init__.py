@@ -43,12 +43,10 @@ _EXPORTS = {
         "support",
     ),
     "order": (
-        "Interval",
         "ball",
         "boundary",
         "interval",
         "is_orthogonal",
-        "is_orthogonal_definitional",
         "is_prefix",
         "join",
         "median",

@@ -14,8 +14,8 @@ module through a proxy such as `order` below, which imports the module on
 first use and reads the function from it at call time.  So a command loads
 only the modules its row calls, and a caller that rebinds a library
 function (a tracer, a test) sees every call: in its home module for the
-lazily loaded modules, in this module's globals for `element`, `identity`,
-`render` and `load_graph`.
+lazily loaded modules, in this module's globals for `element`, `render`
+and `load_graph`.
 
 With --json the output is a single document {command, config, result|report}
 with sorted keys; identical config yields byte-identical documents.  If the
@@ -31,7 +31,7 @@ import os
 import sys
 from typing import Callable, NamedTuple, Optional
 
-from .elements import element, identity, render
+from .elements import element, render
 from .errors import (
     DEFAULT_CONJUGACY_CAP,
     DEFAULT_INTERVAL_CAP,
@@ -177,14 +177,8 @@ COMMANDS = (
     Command("eval", "join", "x y", lambda a: _maybe_render(order.join(a.x, a.y))),
     Command("eval", "orth", "x y", lambda a: order.is_orthogonal(a.x, a.y)),
     Command("eval", "prefix", "x y", lambda a: order.is_prefix(a.x, a.y)),
-    Command(
-        "eval", "interval", "x y",
-        lambda a: _sorted_renders(order.interval(a.x, a.y, cap=a.interval_cap).elements),
-    ),
-    Command(
-        "eval", "boundary", "x",
-        lambda a: _sorted_renders(order.boundary(order.interval(identity(a.g), a.x, cap=a.interval_cap))),
-    ),
+    Command("eval", "interval", "x y", lambda a: _sorted_renders(order.interval(a.x, a.y, cap=a.interval_cap))),
+    Command("eval", "boundary", "x", lambda a: _sorted_renders(order.boundary(a.x, cap=a.interval_cap))),
     Command("eval", "pow", "x n", _power),
     Command("dyn", "cyclred", "x", _cyclic_reduction),
     Command(

@@ -12,7 +12,7 @@ of the package; same-named wrappers operate on GroupElement.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import DEFAULT_INTERVAL_CAP, InvariantViolationError, ResourceCapError
 from .presentation import CommutationGraph
@@ -153,17 +153,32 @@ def median_codes(graph: CommutationGraph, x, y, z) -> tuple[int, ...]:
 
 
 def join_codes(graph: CommutationGraph, x, y) -> Optional[tuple[int, ...]]:
-    """x ∪ y = x(x∩y)⁻¹y when both are prefixes of it; None when no join exists."""
+    """x ∪ y, the least common upper bound; None when x and y have none.
+
+    Let m = x ∩ y, x' = m⁻¹x and y' = m⁻¹y; then x ∪ y exists exactly when
+    x' ⊥ y', and it is x·y'.  Lengths add along m ⊂ x ⊂ z, so z is an upper
+    bound of x and y exactly when m ⊂ z and m⁻¹z is an upper bound of x' and
+    y'.  Also x' ∩ y' = 1, since m is the greatest common prefix.  So when a
+    bound exists, x' ∪ y' exists, which with x' ∩ y' = 1 is the definition of
+    x' ⊥ y', decided here by the support test of `orth_codes`.  Conversely,
+    when x' ⊥ y' the orthogonal-product law gives x' ∪ y' = x'y', and m·x'·y'
+    is reduced: x' and y' have disjoint supports and m·x' = x is reduced, so
+    a cancelling pair would join a letter of m to one of y' across x', and it
+    would already cancel in m·y' = y.  Hence x ∪ y = m·x'y' = x·y'.
+    """
     m = meet_codes(graph, x, y)
-    j = mul_codes(graph, mul_codes(graph, x, inv_codes(graph, m)), y)
-    if prefix_codes(graph, x, j) and prefix_codes(graph, y, j):
-        return j
-    return None
+    im = inv_codes(graph, m)
+    yr = mul_codes(graph, im, y)
+    if not orth_codes(graph, mul_codes(graph, im, x), yr):
+        return None
+    return mul_codes(graph, x, yr)
 
 
 def orth_codes(graph: CommutationGraph, x, y) -> bool:
     """Orthogonality, by the support criterion: disjoint supports, every cross
-    pair commuting. Validated against the definitional test in the suites."""
+    pair commuting.  The definition, x ∩ y = 1 and x ∪ y exists, is
+    `checks.orth_codes_definitional`, the oracle of the orthogonal-product
+    law."""
     sx = support_codes(x)
     sy = support_codes(y)
     if sx & sy:
@@ -173,13 +188,6 @@ def orth_codes(graph: CommutationGraph, x, y) -> bool:
     for g in sy:
         ymask |= 1 << g
     return all((comm[g] & ymask) == ymask for g in sx)
-
-
-def orth_codes_definitional(graph: CommutationGraph, x, y) -> bool:
-    """The definition: x ∩ y = 1 and x ∪ y exists. Kept as the oracle."""
-    if meet_codes(graph, x, y):
-        return False
-    return join_codes(graph, x, y) is not None
 
 
 def interval_codes(graph: CommutationGraph, z, cap: int = DEFAULT_INTERVAL_CAP) -> list[tuple[int, ...]]:
@@ -240,24 +248,6 @@ def ball_codes(graph: CommutationGraph, r: int, cap: int = DEFAULT_INTERVAL_CAP)
 # public element-level operations
 
 
-class Interval:
-    """The finite cell [x, y]: all z with l(x⁻¹z) + l(z⁻¹y) = l(x⁻¹y)."""
-
-    def __init__(self, x: GroupElement, y: GroupElement, elements: frozenset[GroupElement]):
-        self.x = x
-        self.y = y
-        self.elements = elements
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, z: GroupElement) -> bool:
-        return z in self.elements
-
-    def __repr__(self) -> str:
-        return f"Interval({self.x!r}, {self.y!r}, size={len(self.elements)})"
-
-
 def is_prefix(x: GroupElement, y: GroupElement) -> bool:
     _require_same_graph(x, y)
     return prefix_codes(x.graph, x.codes, y.codes)
@@ -285,31 +275,21 @@ def is_orthogonal(x: GroupElement, y: GroupElement) -> bool:
     return orth_codes(x.graph, x.codes, y.codes)
 
 
-def is_orthogonal_definitional(x: GroupElement, y: GroupElement) -> bool:
-    _require_same_graph(x, y)
-    return orth_codes_definitional(x.graph, x.codes, y.codes)
-
-
-def interval(x: GroupElement, y: GroupElement, cap: int = DEFAULT_INTERVAL_CAP) -> Interval:
+def interval(x: GroupElement, y: GroupElement, cap: int = DEFAULT_INTERVAL_CAP) -> frozenset[GroupElement]:
+    """The cell [x, y]: all z with l(x⁻¹z) + l(z⁻¹y) = l(x⁻¹y)."""
     _require_same_graph(x, y)
     graph = x.graph
     z = mul_codes(graph, inv_codes(graph, x.codes), y.codes)
-    suffixes = interval_codes(graph, z, cap)
-    elements = frozenset(GroupElement(graph, mul_codes(graph, x.codes, t)) for t in suffixes)
-    return Interval(x, y, elements)
+    return frozenset(GroupElement(graph, mul_codes(graph, x.codes, t)) for t in interval_codes(graph, z, cap))
 
 
-def boundary(c: Interval) -> set[GroupElement]:
-    """The ends of a cell based at the identity: {a ⊂ v : a ⊥ a⁻¹v}."""
-    if not c.x.is_identity():
-        raise ValueError("boundary is defined for cells [1, v] based at the identity")
-    graph = c.x.graph
-    v = c.y.codes
+def boundary(v: GroupElement, cap: int = DEFAULT_INTERVAL_CAP) -> set[GroupElement]:
+    """The ends of the cell [1, v]: {a ⊂ v : a ⊥ a⁻¹v}."""
+    graph = v.graph
     out: set[GroupElement] = set()
-    for a in c.elements:
-        rest = mul_codes(graph, inv_codes(graph, a.codes), v)
-        if orth_codes(graph, a.codes, rest):
-            out.add(a)
+    for a in interval_codes(graph, v.codes, cap):
+        if orth_codes(graph, a, mul_codes(graph, inv_codes(graph, a), v.codes)):
+            out.add(GroupElement(graph, a))
     return out
 
 
@@ -333,8 +313,7 @@ def oracle_qdir(
     """
     _require_same_graph(a, b)
     graph = a.graph
-    cell = interval(a, b, cap)
-    upper = [u for u in cell.elements if pre(a, u) and pre(b, u)]
+    upper = [u for u in interval(a, b, cap) if pre(a, u) and pre(b, u)]
     if not upper:
         raise InvariantViolationError(
             "no common upper bound inside the cell; the supplied preorder is not compatible"

@@ -10,6 +10,9 @@ algorithms are validated against independent routes:
   meet must be the unique maximum-length common element.
 - `ref_meet`: the meet by repeatedly popping the least common first letter,
   quadratic but independent of the one-pass cancellation meet.
+- `ref_join`: the join as x·(x∩y)⁻¹·y, kept only when x and y are both
+  prefixes of it by lengths, the reference for the join by orthogonal
+  remainders.
 - `brute_interval` / `brute_median`: the median must be the unique common
   point of the three pairwise intervals.
 - `ref_random_codes`: the r-th normal form of length L in lexicographic
@@ -128,6 +131,16 @@ def ref_meet(graph: CommutationGraph, a, b) -> tuple[int, ...]:
         wa.remove(s)
         wb.remove(s)
     return tuple(out)
+
+
+def ref_join(graph: CommutationGraph, x, y) -> tuple[int, ...] | None:
+    """x ∪ y as j = x·(x∩y)⁻¹·y when l(x) + l(x⁻¹j) = l(j) and likewise for
+    y; None otherwise."""
+    j = mul_codes(graph, mul_codes(graph, x, inv_codes(graph, ref_meet(graph, x, y))), y)
+    for p in (x, y):
+        if len(p) + len(mul_codes(graph, inv_codes(graph, p), j)) != len(j):
+            return None
+    return j
 
 
 def brute_interval(graph: CommutationGraph, x: tuple[int, ...], y: tuple[int, ...]) -> frozenset[tuple[int, ...]]:

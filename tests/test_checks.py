@@ -4,7 +4,9 @@ import pytest
 
 from raagkit import checks
 from raagkit.checks import SUITE_ORDER, SUITES, failure_count, run_suite
+from raagkit.elements import inv_codes, mul_codes
 from raagkit.errors import ResourceCapError
+from raagkit.order import meet_codes
 from raagkit.structure import CentralizerPresentation, centralizer
 
 SAMPLES = 40
@@ -139,6 +141,22 @@ class TestCompletenessCanFail:
         report = run_suite("structure", graphs[name], samples=SAMPLES, seed=2, max_len=8)
         by_name = {r["axiom"]: r for r in report}
         assert by_name["centralizer-reaches-commuting-ball"]["failures"]
+
+
+def _join_without_orthogonality(g, x, y):
+    """x·(x∩y)⁻¹y, returned whether or not x and y have a common upper bound."""
+    return mul_codes(g, x, mul_codes(g, inv_codes(g, meet_codes(g, x, y)), y))
+
+
+class TestJoinLawsCanFail:
+    # A join that never answers None must make the no-inverse-join law
+    # report failures: it joins every x with x⁻¹.
+    @pytest.mark.parametrize("name", ["free2", "z2", "f2xz"])
+    def test_join_without_orthogonality_fails(self, monkeypatch, graphs, name):
+        monkeypatch.setattr(checks, "join_codes", _join_without_orthogonality)
+        report = run_suite("agroup-axioms", graphs[name], samples=SAMPLES, seed=2, max_len=8)
+        by_name = {r["axiom"]: r for r in report}
+        assert by_name["no-inverse-join"]["failures"]
 
 
 class TestRejectionBudget:

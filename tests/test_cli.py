@@ -1,6 +1,7 @@
 """End-to-end command-line runs via subprocess: outputs, exit codes, JSON."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -328,6 +329,25 @@ class TestCheckCommand:
         second = run(*argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    # sha256 of `check all --samples 200 --seed 3 --json` per fixture.  The
+    # report must stay byte-identical; a change that alters it on purpose
+    # updates these digests and says so in CHANGES.md.
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("free2", "4c1a7172cd764e3034485f0eb75928c449195fde6f1d93cbdd7ac370a299af40"),
+            ("z2", "926e741f3f0a6ece9a27a5a99039d58394913f1b8d11a43d5b199ebc9cd29d7e"),
+            ("f2xz", "944d62a4b4429f98de9e16c5ecd868c5da8b5ded4b6857779b9e5fa324fe031e"),
+        ],
+        ids=["free2", "z2", "f2xz"],
+    )
+    def test_report_is_pinned(self, name, digest, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        argv = ["check", "all", "-g", f"graphs/{name}.txt", "--samples", "200", "--seed", "3", "--json"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_suite_names_match_checks(self):
         from raagkit import checks

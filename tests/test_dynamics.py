@@ -156,10 +156,8 @@ class TestFoldPhi:
             w = _rand(rng, g, 4)
             c = fold_phi(w, _rand(rng, g, 3))
             x = c * _rand(rng, g, 4)
-            axis_part = {
-                z for z in interval(c, x).elements if in_axis(w, z)
-            }
-            assert axis_part == interval(c, fold_phi(w, x)).elements
+            axis_part = {z for z in interval(c, x) if in_axis(w, z)}
+            assert axis_part == interval(c, fold_phi(w, x))
 
 
 class TestPreceq:
@@ -224,7 +222,7 @@ class TestPreceq:
             y = _rand(rng, g, 4)
             if not preceq(w, x, y):
                 continue
-            cell = interval(x, y).elements
+            cell = interval(x, y)
             for z in cell:
                 assert preceq(w, x, z) and preceq(w, z, y)
             done += 1
@@ -276,10 +274,7 @@ class TestSim:
             w = _rand(rng, g, 3)
             for x in b2:
                 for y in b2:
-                    same_cell = (
-                        interval(x, w * y).elements == interval(y, w * x).elements
-                    )
-                    assert sim(w, x, y) == same_cell
+                    assert sim(w, x, y) == (interval(x, w * y) == interval(y, w * x))
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_symmetry(self, graphs, name):

@@ -17,8 +17,7 @@ EXPORTS = {
     "errors": "GraphMismatchError InvariantViolationError ParseError RaagError ResourceCapError",
     "presentation": "CommutationGraph SignedLetter Word load_graph parse_graph parse_word",
     "elements": "GroupElement element equal first_letters identity invert multiply normalize power render support",
-    "order": "Interval ball boundary interval is_orthogonal is_orthogonal_definitional is_prefix join median "
-    "meet oracle_qdir",
+    "order": "ball boundary interval is_orthogonal is_prefix join median meet oracle_qdir",
     "conjugacy": "CyclicReduction are_conjugate conjugacy_witness cyclic_reduce cyclically_reduced_conjugates "
     "is_cyclically_reduced max_root mth_root",
     "dynamics": "decompose_axis dir_join equiv fold_phi in_axis in_axis_slice ll preceq psi_fold qdir sim",

@@ -6,8 +6,8 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from conftest import KERNEL_GRAPHS
-from oracles_bf import brute_interval, brute_median, brute_prefixes, ref_meet
-from raagkit.checks import check_agroup_axioms, check_median_axioms
+from oracles_bf import brute_interval, brute_median, brute_prefixes, ref_join, ref_meet
+from raagkit.checks import check_agroup_axioms, check_median_axioms, orth_codes_definitional
 from raagkit.elements import SPLICE_MAX, canon_codes, element, identity, inv_codes, mul_codes
 from raagkit.errors import InvariantViolationError, ResourceCapError
 from raagkit.order import (
@@ -18,7 +18,6 @@ from raagkit.order import (
     interval,
     interval_codes,
     is_orthogonal,
-    is_orthogonal_definitional,
     is_prefix,
     join,
     join_codes,
@@ -28,7 +27,6 @@ from raagkit.order import (
     meet_codes,
     oracle_qdir,
     orth_codes,
-    orth_codes_definitional,
     prefix_codes,
 )
 from raagkit.presentation import parse_graph
@@ -204,6 +202,48 @@ class TestJoinAndOrthogonality:
             for y in elems:
                 assert orth_codes(g, x, y) == orth_codes_definitional(g, x, y)
 
+    @pytest.mark.parametrize("name", ["C5", "K8", "G20"])
+    def test_matches_reference_join_on_ball2(self, kernel_graphs, balls, name):
+        # Every pair of ball(2) on C5 and K_8; on G(20, 0.3), whose ball(2)
+        # has ~1.95M pairs, a seeded sample of them.
+        g = kernel_graphs[name]
+        elems = sorted(x.codes for x in balls(name, 2))
+        if name == "G20":
+            rng = random.Random("ref-join")
+            pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(20_000)]
+        else:
+            pairs = product(elems, repeat=2)
+        seen = set()
+        for x, y in pairs:
+            got = join_codes(g, x, y)
+            assert got == ref_join(g, x, y), (x, y)
+            seen.add(got is None)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_matches_reference_join_on_long_words(self, kernel_graphs, name):
+        # x of 64-256 letters against a prefix p of x, against p·t with t
+        # orthogonal to x's tail p⁻¹x and x·t reduced (the join is then
+        # x·t), and against p·t for a random t.
+        g = kernel_graphs[name]
+        rng = random.Random(f"ref-join-long:{name}")
+        seen = set()
+        for _ in range(30):
+            x = canon_codes(g, [rng.randrange(2 * g.ngens) for _ in range(rng.randint(64, 256))])
+            p = x[: rng.randint(max(0, len(x) - 8), len(x))]
+            tail = mul_codes(g, inv_codes(g, p), x)
+            t: tuple[int, ...] = ()
+            for s in rng.sample(range(2 * g.ngens), 2 * g.ngens):
+                if orth_codes(g, tail, (s,)) and len(mul_codes(g, x, t + (s,))) == len(x) + len(t) + 1:
+                    t = canon_codes(g, t + (s,))
+            noise = canon_codes(g, [rng.randrange(2 * g.ngens) for _ in range(4)])
+            for y in (p, mul_codes(g, p, t), mul_codes(g, p, noise)):
+                got = join_codes(g, x, y)
+                assert got == ref_join(g, x, y), (x, y)
+                seen.add(got is None)
+            assert join_codes(g, x, mul_codes(g, p, t)) == mul_codes(g, x, t)
+        assert seen == {True, False}
+
     def test_orthogonal_product_law(self, f2xz, balls):
         # x ⊥ y forces xy = yx = x ∪ y.
         g = f2xz
@@ -219,13 +259,11 @@ class TestJoinAndOrthogonality:
 class TestInterval:
     def test_frozen(self, z2, free2, f2xz):
         got = interval(identity(z2), element(z2, "a b"))
-        assert got.elements == {
-            element(z2, t) for t in ("1", "a", "b", "a b")
-        }
+        assert got == {element(z2, t) for t in ("1", "a", "b", "a b")}
         got = interval(identity(free2), element(free2, "a b"))
-        assert got.elements == {element(free2, t) for t in ("1", "a", "a b")}
+        assert got == {element(free2, t) for t in ("1", "a", "a b")}
         x = element(f2xz, "b c")
-        assert interval(x, x).elements == {x}
+        assert interval(x, x) == {x}
 
     def test_membership_is_geodesic(self, f2xz, balls):
         # z ∈ [x, y] ⟺ l(x⁻¹z) + l(z⁻¹y) = l(x⁻¹y), spot-checked by definition.
@@ -245,7 +283,7 @@ class TestInterval:
             raw2 = tuple(rng.randrange(6) for _ in range(rng.randint(0, 4)))
             x, y = canon_codes(g, raw1), canon_codes(g, raw2)
             cell = interval(elem(g, x), elem(g, y))
-            assert {e.codes for e in cell.elements} == brute_interval(g, x, y)
+            assert {e.codes for e in cell} == brute_interval(g, x, y)
 
     def test_cap(self, f2xz):
         with pytest.raises(ResourceCapError) as e:
@@ -278,27 +316,19 @@ class TestInterval:
 class TestBoundary:
     def test_frozen(self, f2xz, free2):
         g = f2xz
-        assert boundary(interval(identity(g), element(g, "a"))) == {
-            identity(g),
-            element(g, "a"),
-        }
-        assert boundary(interval(identity(g), element(g, "a c"))) == {
-            element(g, t) for t in ("1", "a", "c", "a c")
-        }
-        assert boundary(interval(identity(free2), element(free2, "a b"))) == {
-            element(free2, t) for t in ("1", "a b")
-        }
+        assert boundary(element(g, "a")) == {identity(g), element(g, "a")}
+        assert boundary(element(g, "a c")) == {element(g, t) for t in ("1", "a", "c", "a c")}
+        assert boundary(element(free2, "a b")) == {element(free2, t) for t in ("1", "a b")}
 
-    def test_requires_identity_base(self, f2xz):
-        c = interval(element(f2xz, "a"), element(f2xz, "a c"))
-        with pytest.raises(ValueError):
-            boundary(c)
+    def test_cap(self, f2xz):
+        with pytest.raises(ResourceCapError):
+            boundary(element(f2xz, "a c b a c b"), cap=3)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_power_of_two_and_complement_closure(self, graphs, balls, name):
         g = graphs[name]
         for v in balls(name, 3):
-            bd = boundary(interval(identity(g), v))
+            bd = boundary(v)
             assert identity(g) in bd and v in bd
             n = len(bd)
             assert n & (n - 1) == 0, f"|boundary| = {n} is not a power of 2"
