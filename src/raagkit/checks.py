@@ -22,7 +22,6 @@ from .dynamics import (
     equiv,
     fold_phi,
     in_axis,
-    in_axis_slice,
     preceq,
     psi_fold,
     qdir,
@@ -31,6 +30,7 @@ from .dynamics import (
 from .elements import GroupElement, _require_same_graph, fl_codes, identity, inv_codes, mul_codes, pow_codes, render, support_codes
 from .errors import InvariantViolationError, ResourceCapError
 from .order import (
+    _reduced_product,
     ball,
     interval,
     interval_codes,
@@ -323,6 +323,22 @@ def check_preorder(
     ]
 
 
+def slice_by_power(w: GroupElement, a: GroupElement, x: GroupElement) -> bool:
+    """The oracle of `in_axis_slice`: x ∈ [w⁻ⁿa, wⁿa], with wⁿ built as a
+    power at n = l(a⁻¹x) + 1.
+
+    Seen from a the cell is [c⁻ⁿ, cⁿ] for c = a⁻¹wa, and x lies in it
+    exactly when (w⁻ⁿa)⁻¹x · x⁻¹wⁿa is reduced.  The cells grow with n, and
+    the fold Y(c⁻ⁿ, s, cⁿ) of s = a⁻¹x reads only the prefixes of c^{±n} of
+    length ≤ l(s), which are the same for every n ≥ l(s) (see
+    `dir_join_by_power`); so membership at this n is membership in the slice.
+    """
+    g = w.graph
+    wn = w ** (len(~a * x) + 1)
+    lo, hi = ~wn * a, wn * a
+    return _reduced_product(g, (~lo * x).codes, (~x * hi).codes)
+
+
 def check_folding(
     g: CommutationGraph, samples: int = 1000, seed: int = 0, max_len: int = 8
 ) -> list[dict]:
@@ -371,7 +387,7 @@ def check_folding(
         a = fold_phi(w, _draw(rng, g, min(max_len, 5)))
         x = _draw(rng, g, min(max_len, 6))
         z = psi_fold(w, a, x)
-        if not in_axis_slice(w, a, z) or psi_fold(w, a, z) != z:
+        if not slice_by_power(w, a, z) or psi_fold(w, a, z) != z:
             slice_fail.append(_fail(w=w, a=a, x=x))
         ax = fold_phi(w, x)
         y, z2 = decompose_axis(w, a, ax)
@@ -400,6 +416,25 @@ def enumerated_equiv(w, x: GroupElement, y: GroupElement) -> bool:
     are sim-related for w.  The cell is enumerated under the interval cap."""
     cell = list(interval(x, y))
     return not any(sim(w, u, v) for u, v in itertools.combinations(cell, 2))
+
+
+def dir_join_by_power(w: GroupElement, a: GroupElement, x: GroupElement, y: GroupElement) -> GroupElement:
+    """The oracle of `dir_join`: Y(x, y, Y(wⁿφ(x), a, wⁿφ(y))), with wⁿ
+    built as a power at n* = l(x⁻¹φ(x)) + l(x⁻¹φ(y)) + l(x⁻¹a) + l(x⁻¹y) + 1.
+
+    The index is past the limit.  For z = x, y let v = x⁻¹φ(z) and
+    c = φ(z)⁻¹wφ(z), so x⁻¹wⁿφ(z) = v·cⁿ, and let t = x⁻¹y.  Seen from x the
+    gate is Y(t ∩ v_x·c_xⁿ, x⁻¹a, t ∩ v_y·c_yⁿ) (see `dir_join`), and by
+    left translation t ∩ v·cⁿ = v·Y(v⁻¹, v⁻¹t, cⁿ), which reads only the
+    prefixes of cⁿ of length ≤ l(v) + l(t).  c is cyclically reduced, so cⁿ
+    is c written n times with no cancellation; the occurrences of one
+    generator keep their order, and copy i holds the i-th block of them.  A
+    prefix of cⁿ is a down-closed set of occurrences, so one of length ≤ L
+    lies in c^L: the prefixes of length ≤ L are the same for every n ≥ L.
+    """
+    px, py = fold_phi(w, x), fold_phi(w, y)
+    wn = w ** (len(~x * px) + len(~x * py) + len(~x * a) + len(~x * y) + 1)
+    return median(x, y, median(wn * px, a, wn * py))
 
 
 def check_qdir(
@@ -456,9 +491,7 @@ def check_qdir(
         x = _draw(rng, g, min(max_len, 4))
         y = _draw(rng, g, min(max_len, 4))
         j = dir_join(w, a, x, y)
-        if j != dir_join(w, a, y, x) or j != median(
-            qdir(w, x, y), a, qdir(w, y, x)
-        ):
+        if j != dir_join(w, a, y, x) or j != dir_join_by_power(w, a, x, y):
             djoin_fail.append(_fail(w=w, a=a, x=x, y=y))
 
     return [

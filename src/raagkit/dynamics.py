@@ -2,14 +2,15 @@
 
 Every operation here is attached to a base element w, passed as a
 GroupElement.  Nothing is cached between calls: the folding is read off the
-gap c ∩ c⁻¹ of the conjugate c = x⁻¹wx (see `_gap`), and each gate computes
-the one power of w it needs with `pow_codes`, at an index proven in its
-docstring.
+gap c ∩ c⁻¹ of the conjugate c = x⁻¹wx (see `_gap`).  No power of w is
+built either: each gate is a limit along wⁿ, and `meet_codes` reads it by
+streaming copies of a cyclically reduced conjugate of w until a stop rule
+proves that the limit is reached (see `qdir` and `psi_fold`).
 """
 
 from __future__ import annotations
 
-from .elements import GroupElement, _require_same_graph, inv_codes, mul_codes, pow_codes
+from .elements import GroupElement, _require_same_graph, inv_codes, mul_codes
 from .order import _reduced_product, meet_codes, median_codes, orth_codes
 
 
@@ -78,85 +79,80 @@ def ll(w: GroupElement, x: GroupElement, y: GroupElement) -> bool:
     return preceq(w, x, y) and equiv(w, x, y)
 
 
-def _gate(g, x: tuple[int, ...], t: tuple[int, ...], target: tuple[int, ...]) -> GroupElement:
-    """Y(x, y, x·target) for t = x⁻¹y, which is x·(t ∩ target)."""
-    return GroupElement(g, mul_codes(g, x, meet_codes(g, t, target)))
+def _qdir_codes(g, w, x, y) -> tuple[int, ...]:
+    """qdir on code tuples; see `qdir`."""
+    ix = inv_codes(g, x)
+    u = _gap(g, w, ix, x)
+    phx = mul_codes(g, x, u)
+    c = mul_codes(g, mul_codes(g, inv_codes(g, phx), w), phx)
+    return mul_codes(g, x, meet_codes(g, mul_codes(g, ix, y), u, c))
 
 
 def qdir(w: GroupElement, x: GroupElement, y: GroupElement) -> GroupElement:
     """The quasidirection value: the limit of Y(x, y, wⁿ·φ_w(x)) as n grows.
 
-    The limit is reached at n* = l(u) + l(t) + 1, u = x⁻¹φ(x), t = x⁻¹y.
-    Seen from x the gate is t ∩ u·cⁿ, where c = φ(x)⁻¹wφ(x) is cyclically
-    reduced because φ(x) lies on the axis, so wⁿφ(x) = φ(x)·cⁿ.
+    Seen from x, with t = x⁻¹y, u = x⁻¹φ(x) (the `_gap`) and
+    c = φ(x)⁻¹wφ(x), the gate is x·(t ∩ u·cⁿ):
 
-    1. cⁿ is c written n times with no cancellation. The occurrences of one
-       generator keep their order, and copy i holds the i-th block of them.
-       A prefix of cⁿ is a down-closed set of occurrences, so one of length
-       ≤ L takes at most L of any generator and lies in c^L. The prefixes of
-       cⁿ of length ≤ L are therefore the same for every n ≥ L.
-    2. Left translation preserves medians, and a ∩ b = Y(1, a, b), so
-       t ∩ u·cⁿ = u·Y(u⁻¹, u⁻¹t, cⁿ). In the prefix semilattice
-       Y(a, b, e) = (a ∩ b) ∨ (a ∩ e) ∨ (b ∩ e), and u⁻¹ ∩ cⁿ and u⁻¹t ∩ cⁿ
-       only see the prefixes of cⁿ of length ≤ l(u) + l(t).
-
-    By 1 and 2 the gate is constant for n ≥ l(u) + l(t).
+    1. Left translation preserves medians and Y(1, a, b) = a ∩ b, so
+       Y(x, y, wⁿφ(x)) = x·(t ∩ x⁻¹wⁿφ(x)), and x⁻¹wⁿφ(x) = u·cⁿ.
+    2. The word u·c·c·…·c is reduced.  φ(x) lies on the axis, so c is
+       cyclically reduced and l(cⁿ) = n·l(c).  wⁿφ(x) lies on the axis too,
+       and φ(x) is the gate of x on the axis, so φ(x) lies in the cell
+       [x, wⁿφ(x)] and l(u·cⁿ) = l(u) + n·l(c), the length of the word.
+    3. So `meet_codes` computes t ∩ u·cⁿ by streaming u and then copies of
+       c, with no power built.  It stops after the first copy that cancels
+       nothing, which is at most copy l(t) + 1, and its stop rule proves
+       that the meet no longer moves for any larger n: that is the limit.
     """
     _require_same_graph(w, x)
     _require_same_graph(w, y)
+    return GroupElement(w.graph, _qdir_codes(w.graph, w.codes, x.codes, y.codes))
+
+
+def _axis_core(w: GroupElement, name: str, a: GroupElement) -> tuple[int, ...]:
+    """c = a⁻¹wa; a lies on the axis exactly when c is cyclically reduced,
+    and otherwise a ValueError names the argument."""
+    _require_same_graph(w, a)
     g = w.graph
-    ix = inv_codes(g, x.codes)
-    u = _gap(g, w.codes, ix, x.codes)
-    t = mul_codes(g, ix, y.codes)
-    wn = pow_codes(g, w.codes, len(u) + len(t) + 1)
-    return _gate(g, x.codes, t, mul_codes(g, mul_codes(g, ix, wn), mul_codes(g, x.codes, u)))
-
-
-def _require_axis(w: GroupElement, name: str, a: GroupElement) -> None:
-    if not in_axis(w, a):
+    c = mul_codes(g, mul_codes(g, inv_codes(g, a.codes), w.codes), a.codes)
+    if meet_codes(g, c, inv_codes(g, c)):
         raise ValueError(f"{name} must lie in the axis of w")
+    return c
 
 
 def in_axis_slice(w: GroupElement, a: GroupElement, x: GroupElement) -> bool:
-    """Whether x lies in the axis slice through a: some cell [w⁻ⁿa, wⁿa]."""
-    _require_same_graph(w, x)
-    _require_axis(w, "a", a)
-    g = w.graph
-    lo, hi = _slice_ends(g, w.codes, a.codes, x.codes)
-    left = mul_codes(g, inv_codes(g, lo), x.codes)
-    right = mul_codes(g, inv_codes(g, x.codes), hi)
-    return _reduced_product(g, left, right)
+    """Whether x lies in the axis slice through a: some cell [w⁻ⁿa, wⁿa].
+
+    x ∈ [lo, hi] exactly when Y(lo, x, hi) = x, so this is
+    psi_fold(w, a, x) = x.
+    """
+    return psi_fold(w, a, x) == x
 
 
 def psi_fold(w: GroupElement, a: GroupElement, x: GroupElement) -> GroupElement:
     """Fold x onto the axis slice through a: the limit of Y(w⁻ⁿa, x, wⁿa).
 
-    Evaluated once at n = l(s) + 1, where s = a⁻¹x.
+    It is a·((s ∩ c^∞) ∨ (s ∩ c^−∞)), with s = a⁻¹x and c = a⁻¹wa.
 
-    1. a lies on the axis, so c = a⁻¹wa is cyclically reduced and
-       w^{±n}a = a·c^{±n}.
+    1. a lies on the axis, so c is cyclically reduced, w^{±n}a = a·c^{±n},
+       and the words c·c·… and c⁻¹·c⁻¹·… are reduced.
     2. Left translation preserves medians, so seen from a the fold is
        Y(c⁻ⁿ, s, cⁿ) = (s ∩ c⁻ⁿ) ∨ (s ∩ cⁿ) ∨ (c⁻ⁿ ∩ cⁿ).
-    3. By point 1 of the `qdir` docstring, for c and for c⁻¹, the prefixes
-       of c^{±n} of length ≤ L are the same for every n ≥ L.  At L = 1 the
-       first letters of c^{±n} are those of c^{±1}, and c ∩ c⁻¹ = 1 because
-       c is cyclically reduced, so c⁻ⁿ ∩ cⁿ = 1 for n ≥ 1.  At L = l(s),
-       s ∩ c^{±n} is constant for n ≥ l(s).
-
-    So the fold is constant for n ≥ l(s).
+    3. For n ≥ 1 the first letters of c^{±n} are those of c^{±1}, and
+       c ∩ c⁻¹ = 1 because c is cyclically reduced, so c⁻ⁿ ∩ cⁿ = 1.
+    4. `meet_codes` streams the copies of c, and of c⁻¹, until its stop rule
+       proves that s ∩ c^{±n} no longer moves.  Call the limits p and q.
+    5. p ∩ q ⊂ cⁿ ∩ c⁻ⁿ = 1, and p ∨ q exists since s bounds both, so
+       p ⊥ q and p ∨ q = p·q.
     """
     _require_same_graph(w, x)
-    _require_axis(w, "a", a)
+    c = _axis_core(w, "a", a)
     g = w.graph
-    lo, hi = _slice_ends(g, w.codes, a.codes, x.codes)
-    return GroupElement(g, median_codes(g, lo, x.codes, hi))
-
-
-def _slice_ends(g, w, a, x) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(w⁻ⁿa, wⁿa) at n = l(a⁻¹x) + 1."""
-    n = len(mul_codes(g, inv_codes(g, a), x)) + 1
-    wn = pow_codes(g, w, n)
-    return mul_codes(g, inv_codes(g, wn), a), mul_codes(g, wn, a)
+    s = mul_codes(g, inv_codes(g, a.codes), x.codes)
+    p = meet_codes(g, s, (), c)
+    q = meet_codes(g, s, (), inv_codes(g, c))
+    return GroupElement(g, mul_codes(g, a.codes, mul_codes(g, p, q)))
 
 
 def decompose_axis(
@@ -167,8 +163,8 @@ def decompose_axis(
     Returns (y, z) with z the fold of x onto the slice through a and
     y = x·z⁻¹·a; then x = y·a⁻¹·z = z·a⁻¹·y.
     """
-    _require_axis(w, "a", a)
-    _require_axis(w, "x", x)
+    _axis_core(w, "a", a)
+    _axis_core(w, "x", x)
     z = psi_fold(w, a, x)
     g = w.graph
     y = GroupElement(g, mul_codes(g, mul_codes(g, x.codes, inv_codes(g, z.codes)), a.codes))
@@ -178,23 +174,19 @@ def decompose_axis(
 def dir_join(w: GroupElement, a: GroupElement, x: GroupElement, y: GroupElement) -> GroupElement:
     """The direction join over base a: the limit of Y(x, y, Y(wⁿφ(x), a, wⁿφ(y))).
 
-    Evaluated once at n* = l(x⁻¹φ(x)) + l(x⁻¹φ(y)) + l(x⁻¹a) + l(x⁻¹y) + 1.
-    Seen from x, with A = x⁻¹wⁿφ(x), B = x⁻¹wⁿφ(y), α = x⁻¹a and t = x⁻¹y,
-    the gate is t ∩ Y(A, α, B), and Y(A, α, B) = (A ∩ α) ∨ (α ∩ B) ∨ (A ∩ B).
-    Below Y(A, α, B) the prefix semilattice is a distributive lattice, so
-    the gate is (t ∩ A ∩ α) ∨ (t ∩ α ∩ B) ∨ ((t ∩ A) ∩ (t ∩ B)). By the
-    argument in `qdir`, t ∩ A is constant for n ≥ l(x⁻¹φ(x)) + l(t) and
-    t ∩ B for n ≥ l(x⁻¹φ(y)) + l(t), and n* exceeds both.
+    It is Y(qdir(w, x, y), a, qdir(w, y, x)).  Seen from x, with
+    A = x⁻¹wⁿφ(x), B = x⁻¹wⁿφ(y), α = x⁻¹a and t = x⁻¹y, the gate is
+    t ∩ Y(A, α, B), and Y(A, α, B) = (A ∩ α) ∨ (α ∩ B) ∨ (A ∩ B).  Below
+    Y(A, α, B) the prefix semilattice is a distributive lattice, so the gate
+    is (t ∩ A ∩ α) ∨ (t ∩ α ∩ B) ∨ ((t ∩ A) ∩ (t ∩ B)), which is
+    Y(t ∩ A, α, t ∩ B) since t ∩ A and t ∩ B lie below t.  Now
+    x·(t ∩ A) = Y(x, y, wⁿφ(x)) and x·(t ∩ B) = Y(y, x, wⁿφ(y)), whose
+    limits are qdir(w, x, y) and qdir(w, y, x); translating by x gives the
+    median above.
     """
     for e in (a, x, y):
         _require_same_graph(w, e)
     g = w.graph
-    ix = inv_codes(g, x.codes)
-    u = _gap(g, w.codes, ix, x.codes)
-    phy = mul_codes(g, y.codes, _gap(g, w.codes, inv_codes(g, y.codes), y.codes))
-    t = mul_codes(g, ix, y.codes)
-    n = len(u) + len(mul_codes(g, ix, phy)) + len(mul_codes(g, ix, a.codes)) + len(t) + 1
-    wn = pow_codes(g, w.codes, n)
-    phx = mul_codes(g, x.codes, u)
-    inner = median_codes(g, mul_codes(g, wn, phx), a.codes, mul_codes(g, wn, phy))
-    return _gate(g, x.codes, t, mul_codes(g, ix, inner))
+    fwd = _qdir_codes(g, w.codes, x.codes, y.codes)
+    back = _qdir_codes(g, w.codes, y.codes, x.codes)
+    return GroupElement(g, median_codes(g, fwd, a.codes, back))

@@ -20,6 +20,7 @@ from .elements import (
     SPLICE_MAX,
     GroupElement,
     _require_same_graph,
+    canon_codes,
     inv_codes,
     mul_codes,
     support_codes,
@@ -39,76 +40,106 @@ def prefix_codes(graph: CommutationGraph, a, b) -> bool:
     return la + len(mul_codes(graph, inv_codes(graph, a), b)) == lb
 
 
-def meet_codes(graph: CommutationGraph, a, b) -> tuple[int, ...]:
-    """Greatest common prefix of two canonical tuples, in one pass.
+def meet_codes(graph: CommutationGraph, a, b, c=()) -> tuple[int, ...]:
+    """Greatest common prefix a ∩ b·cᵐ, for m so large that it no longer moves.
+
+    a is canonical and the word b·c·c·… is reduced; with c empty this is the
+    meet a ∩ b of two canonical tuples, computed in one pass.
 
     Run the reduction sweep of `reduce_codes` over a⁻¹·b.  Both halves are
     reduced, so every cancellation pairs an incoming letter of b with a
     pending letter of a⁻¹.  If k pairs cancel, the survivors spell
     a⁻¹b = u·v, with u the l(a) - k surviving letters of a⁻¹ and v those of
     b, and k = (l(a) + l(b) - l(a⁻¹b)) / 2 is the Gromov product of a and b
-    at the identity.  Let c be the cancelled letters of b in order.  Each
+    at the identity.  Let d be the cancelled letters of b in order.  Each
     commutes with the surviving letters of b before it (one that blocked it
-    would sit above the a⁻¹ entries on its pile), so b = c·v with lengths
-    adding: c ⊂ b.  Then a⁻¹c = u has length l(a) - l(c), so c ⊂ a.  In
+    would sit above the a⁻¹ entries on its pile), so b = d·v with lengths
+    adding: d ⊂ b.  Then a⁻¹d = u has length l(a) - l(d), so d ⊂ a.  In
     these groups the Gromov product is l(a ∩ b), and a common prefix that
-    long is the meet itself.  No shortlex pass is needed: every letter of b
-    that a letter of c depends on is in c, and the greedy least order of b
-    restricted to such a down-closed set is the least order of the set, so
-    c in b's order is canonical.
+    long is the meet itself.  Up to here only reduced b was used.  When b is
+    canonical no shortlex pass is needed: every letter of b that a letter of
+    d depends on is in d, and the greedy least order of b restricted to such
+    a down-closed set is the least order of the set, so d in b's order is
+    canonical.  A reduced b that is not canonical takes one shortlex pass
+    over d, which has at most l(a) letters.
 
     Surviving letters of b are not stacked: a survivor only hides the a⁻¹
     entries below it, so a mask of the generators it blocks is enough, and
     the sweep stops once that mask covers every generator.
 
-    When both words have at most SPLICE_MAX letters no piles are built: a
+    With c nonempty, b is followed by copies of c, one at a time, and the
+    sweep stops after the first copy of c that cancels nothing.  The sweep's
+    state is the pending a⁻¹ entries and the hidden mask.  A letter cancels
+    only if its generator is not hidden and the pending entry it meets is its
+    inverse, so with the same pending entries a larger mask cancels no more.
+    A copy that cancels nothing leaves the pending entries as they were and
+    only adds to the mask.  So each letter of the next copy meets the same
+    pending entries as its twin in the copy before, under a mask at least as
+    large, and cancels nothing either.  So for every larger m the sweep over
+    a⁻¹·b·cᵐ cancels the same letters, and by the proof above they spell
+    a ∩ b·cᵐ.  Every copy before the last cancels a letter of a⁻¹, so at
+    most l(a) + 1 copies are read.  The sweep also stops when every
+    generator is hidden or nothing is pending, since then no later letter
+    can cancel.
+
+    When a and b have at most SPLICE_MAX letters no piles are built: a
     backward scan over the uncancelled a⁻¹ letters, as in `_splice`, finds
     the last one that blocks s.  Survivors of b exist only in `hidden`, so
     when s's generator is not hidden that letter is its pile's top, and s
     cancels exactly when it is s⁻¹.
     """
-    if not a or not b:
+    if not a or not (b or c):
         return ()
     block = graph.block_mask
     full = (1 << graph.ngens) - 1
     pending = [l ^ 1 for l in reversed(a)]  # a⁻¹: cancelled letters deleted, or -1 on piles
-    hidden = 0  # generators whose pile has a surviving letter of b on top
+    hidden = 0  # generators whose pile has a surviving incoming letter on top
     cancelled: list[int] = []
-    if len(a) <= SPLICE_MAX and len(b) <= SPLICE_MAX:
-        for s in b:
-            g = s >> 1
-            m = block[g]
-            if not (hidden >> g) & 1:
-                p = len(pending) - 1
-                while p >= 0 and not (m >> (pending[p] >> 1)) & 1:
-                    p -= 1
-                if p >= 0 and pending[p] == s ^ 1:
-                    del pending[p]
-                    cancelled.append(s)
-                    continue
-            hidden |= m
-            if hidden == full:
-                break
-        return tuple(cancelled)
-    blockers = graph.blockers
-    piles: list[list[int]] = [[] for _ in range(graph.ngens)]
-    for eid, l in enumerate(pending):
-        for h in blockers[l >> 1]:
-            piles[h].append(eid)
-    for s in b:
-        g = s >> 1
-        if not (hidden >> g) & 1:
-            pile = piles[g]
-            while pile and pending[pile[-1]] < 0:
-                pile.pop()
-            if pile and pending[pile[-1]] == (s ^ 1):
-                pending[pile.pop()] = -1
-                cancelled.append(s)
-                continue
-        hidden |= block[g]
-        if hidden == full:
+    piles = None
+    if len(a) > SPLICE_MAX or len(b) > SPLICE_MAX:
+        blockers = graph.blockers
+        piles = [[] for _ in range(graph.ngens)]
+        for eid, l in enumerate(pending):
+            for h in blockers[l >> 1]:
+                piles[h].append(eid)
+    part = b
+    while True:
+        k = len(cancelled)
+        if piles is None:
+            for s in part:
+                g = s >> 1
+                m = block[g]
+                if not (hidden >> g) & 1:
+                    p = len(pending) - 1
+                    while p >= 0 and not (m >> (pending[p] >> 1)) & 1:
+                        p -= 1
+                    if p >= 0 and pending[p] == s ^ 1:
+                        del pending[p]
+                        cancelled.append(s)
+                        continue
+                hidden |= m
+                if hidden == full:
+                    break
+        else:
+            for s in part:
+                g = s >> 1
+                if not (hidden >> g) & 1:
+                    pile = piles[g]
+                    while pile and pending[pile[-1]] < 0:
+                        pile.pop()
+                    if pile and pending[pile[-1]] == (s ^ 1):
+                        pending[pile.pop()] = -1
+                        cancelled.append(s)
+                        continue
+                hidden |= block[g]
+                if hidden == full:
+                    break
+        if not c or hidden == full or len(cancelled) == len(a):
             break
-    return tuple(cancelled)
+        if part is c and len(cancelled) == k:
+            break
+        part = c
+    return canon_codes(graph, cancelled) if c else tuple(cancelled)
 
 
 def _reduced_product(graph: CommutationGraph, a, b) -> bool:

@@ -4,9 +4,10 @@ import pytest
 
 from raagkit import checks
 from raagkit.checks import SUITE_ORDER, SUITES, failure_count, run_suite
+from raagkit.dynamics import qdir
 from raagkit.elements import inv_codes, mul_codes
 from raagkit.errors import ResourceCapError
-from raagkit.order import meet_codes
+from raagkit.order import median, meet_codes
 from raagkit.structure import CentralizerPresentation, centralizer
 
 SAMPLES = 40
@@ -157,6 +158,28 @@ class TestJoinLawsCanFail:
         report = run_suite("agroup-axioms", graphs[name], samples=SAMPLES, seed=2, max_len=8)
         by_name = {r["axiom"]: r for r in report}
         assert by_name["no-inverse-join"]["failures"]
+
+
+class TestGateLawsCanFail:
+    # The slice and join laws read the streamed gates against their
+    # definitions, built with a power of w at a proven index, so a gate that
+    # agrees only with itself must make its law report failures.
+    @pytest.mark.parametrize(
+        "suite, law, gate, corrupt",
+        [
+            ("folding", "slice-fold-lands-and-fixes", "psi_fold", lambda w, a, x: x),
+            ("qdir", "directed-join-formula", "dir_join", lambda w, a, x, y: qdir(w, x, y)),
+            ("qdir", "directed-join-formula", "dir_join", lambda w, a, x, y: median(x, a, y)),
+        ],
+        ids=["fold-is-identity", "join-is-one-direction", "join-is-symmetric-median"],
+    )
+    def test_corrupted_gate_fails(self, monkeypatch, graphs, suite, law, gate, corrupt):
+        monkeypatch.setattr(checks, gate, corrupt)
+        failed = 0
+        for g in graphs.values():
+            report = run_suite(suite, g, samples=SAMPLES, seed=2, max_len=8)
+            failed += len(next(r for r in report if r["axiom"] == law)["failures"])
+        assert failed
 
 
 class TestRejectionBudget:

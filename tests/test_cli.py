@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,10 @@ from pathlib import Path
 import pytest
 
 from raagkit import cli, sampling
+from raagkit.dynamics import fold_phi
+from raagkit.elements import element, render
 from raagkit.errors import InvariantViolationError
+from raagkit.presentation import load_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 GRAPHS = ROOT / "graphs"
@@ -117,6 +121,29 @@ class TestDyn:
             run("dyn", "dirjoin", "-g", FREE2, "--w", "b", "--a", "1", "a", "a^-1").stdout.strip()
             == "1"
         )
+
+    def test_gates_on_long_words(self, tmp_path, capsys):
+        # qdir, psi and dirjoin on random 10⁴-letter words over C5.  The gates
+        # read w's core copy by copy; a power of w at the old proven index
+        # would have about 10⁸ letters.  Each command took at most 0.6 s on a
+        # 2-vCPU Xeon (Python 3.11.7); the bound is over 30 times that.
+        gens = [f"x{i}" for i in range(5)]
+        c5 = tmp_path / "c5.txt"
+        c5.write_text(f"gens: {' '.join(gens)}\n" + "".join(f"edge: x{i} x{(i + 1) % 5}\n" for i in range(5)))
+        rng = random.Random("long-gates")
+        w, x, y, b = (" ".join(rng.choice(gens) + rng.choice(("", "^-1")) for _ in range(10_000)) for _ in range(4))
+        g = load_graph(c5)
+        a = render(fold_phi(element(g, w), element(g, b)))
+        for cmd, *args in (
+            ("qdir", "--w", w, x, y),
+            ("psi", "--w", w, "--a", a, "--x", x),
+            ("dirjoin", "--w", w, "--a", b, x, y),
+        ):
+            start = time.perf_counter()
+            code = cli.main(["dyn", cmd, "-g", str(c5), *args])
+            elapsed = time.perf_counter() - start
+            assert code == 0, capsys.readouterr().err
+            assert elapsed < 20.0, (cmd, elapsed)
 
     def test_psi_requires_axis_base(self):
         r = run("dyn", "psi", "-g", FREE2, "--w", "b", "--a", "a", "--x", "1")

@@ -31,6 +31,7 @@ from raagkit.order import (
     median_codes,
     meet,
     meet_codes,
+    oracle_qdir,
 )
 from raagkit.presentation import CommutationGraph
 from raagkit.sampling import random_codes, stream
@@ -371,6 +372,15 @@ class TestQdir:
                     assert qdir(w, x, y) == next(answers)
         assert next(answers, None) is None
 
+    @pytest.mark.parametrize("name", ["C5", "G20"])
+    def test_matches_oracle_sampled(self, kernel_graphs, name):
+        # the interval-based oracle on drawn triples, as in the check suite
+        g = kernel_graphs[name]
+        rng = stream(36, f"qdiroracle:{name}")
+        for _ in range(1500):
+            w, x, y = _rand(rng, g, 3), _rand(rng, g, 4), _rand(rng, g, 4)
+            assert qdir(w, x, y) == oracle_qdir(x, y, lambda u, v: preceq(w, u, v))
+
     @pytest.mark.parametrize("name", FIXTURES)
     def test_band_laws(self, graphs, name):
         g = graphs[name]
@@ -576,7 +586,7 @@ class TestConvexClosureOfOrbit:
 
 
 class TestGatesMatchReference:
-    """The closed-form index against the streak loop it replaced."""
+    """The streamed gates against the limits of their defining sequences."""
 
     @staticmethod
     def phi(g, w, x):
@@ -637,3 +647,103 @@ class TestGatesMatchReference:
                 return median_codes(g, lo, x.codes, mul_codes(g, wn, a.codes))
 
             assert psi_fold(w, a, x).codes == ref_stabilized(w, a.codes, x.codes, term)
+
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_in_axis_slice(self, kernel_graphs, name):
+        # membership of x and of its fold in the cell [w⁻ⁿa, wⁿa], by lengths
+        g = kernel_graphs[name]
+        rng = stream(52, f"sliceref:{name}")
+        for _ in range(200):
+            w = _rand(rng, g, 5)
+            a = fold_phi(w, _rand(rng, g, 5))
+            x = _rand(rng, g, 6)
+            for z in (x, psi_fold(w, a, x)):
+
+                def term(n, z=z):
+                    wn = GroupElement(g, pow_codes(g, w.codes, n))
+                    lo, hi = ~wn * a, wn * a
+                    return len(~lo * z) + len(~z * hi) == len(~lo * hi)
+
+                assert in_axis_slice(w, a, z) == ref_stabilized(w, a.codes, z.codes, term)
+
+    # Long words: x, y and a of 32-64 letters and w of up to 8.  Half of the
+    # cases put y (or x) near the orbit of w, y = wᵏ·x·r for a short r, so that
+    # the gate is long and the stream reads many copies.  The sequences are
+    # extended one factor at a time through group identities such as
+    # x⁻¹wⁿφ(x) = x⁻¹φ(x)·cⁿ with c = φ(x)⁻¹wφ(x); no power is built.
+    LONG_GRAPHS = ["C5", "G20", "K8"]
+    LONG_CASES = 20
+
+    @staticmethod
+    def orbit(g, start, c):
+        """n ↦ start·cⁿ; ref_stabilized asks for n = 0, 1, 2, … in order."""
+        seq = [start]
+
+        def at(n):
+            while len(seq) <= n:
+                seq.append(mul_codes(g, seq[-1], c))
+            return seq[n]
+
+        return at
+
+    @staticmethod
+    def long_case(g, rng):
+        w = GroupElement(g, random_codes(rng, g, 8, 1))
+        x, y, a = (GroupElement(g, random_codes(rng, g, 64, 32)) for _ in range(3))
+        if rng.random() < 0.5:
+            k = rng.randint(1, 6) * rng.choice([-1, 1])
+            y = GroupElement(g, pow_codes(g, w.codes, k)) * x * _rand(rng, g, 6)
+        return w, x, y, a
+
+    @staticmethod
+    def axis_conjugate(g, w, p):
+        """p⁻¹wp for an axis point p."""
+        return mul_codes(g, mul_codes(g, inv_codes(g, p), w.codes), p)
+
+    @pytest.mark.parametrize("name", LONG_GRAPHS)
+    def test_qdir_long(self, kernel_graphs, name):
+        g = kernel_graphs[name]
+        rng = stream(53, f"qdirlong:{name}")
+        for _ in range(self.LONG_CASES):
+            w, x, y, _a = self.long_case(g, rng)
+            phx = self.phi(g, w, x)
+            target = self.orbit(g, mul_codes(g, inv_codes(g, x.codes), phx), self.axis_conjugate(g, w, phx))
+            term = self.gate(g, x, y, target)
+            assert qdir(w, x, y).codes == ref_stabilized(w, x.codes, y.codes, term)
+
+    @pytest.mark.parametrize("name", LONG_GRAPHS)
+    def test_psi_fold_long(self, kernel_graphs, name):
+        # seen from x the fold is Y(s⁻¹c⁻ⁿ, 1, s⁻¹cⁿ) for s = a⁻¹x, c = a⁻¹wa
+        g = kernel_graphs[name]
+        rng = stream(54, f"psilong:{name}")
+        for _ in range(self.LONG_CASES):
+            w, a, x, _b = self.long_case(g, rng)
+            a = GroupElement(g, self.phi(g, w, a))
+            c = self.axis_conjugate(g, w, a.codes)
+            ins = inv_codes(g, mul_codes(g, inv_codes(g, a.codes), x.codes))
+            up, down = self.orbit(g, ins, c), self.orbit(g, ins, inv_codes(g, c))
+
+            def term(n):
+                return mul_codes(g, x.codes, meet_codes(g, up(n), down(n)))
+
+            assert psi_fold(w, a, x).codes == ref_stabilized(w, a.codes, x.codes, term)
+
+    @pytest.mark.parametrize("name", LONG_GRAPHS)
+    def test_dir_join_long(self, kernel_graphs, name):
+        # x⁻¹·Y(wⁿφ(x), a, wⁿφ(y)) = x⁻¹a·(a⁻¹φ(x)·c_xⁿ ∩ a⁻¹φ(y)·c_yⁿ)
+        g = kernel_graphs[name]
+        rng = stream(55, f"joinlong:{name}")
+        for _ in range(self.LONG_CASES):
+            w, x, y, a = self.long_case(g, rng)
+            ia = inv_codes(g, a.codes)
+            xa = mul_codes(g, inv_codes(g, x.codes), a.codes)
+            ends = []
+            for z in (x, y):
+                phz = self.phi(g, w, z)
+                ends.append(self.orbit(g, mul_codes(g, ia, phz), self.axis_conjugate(g, w, phz)))
+
+            def target(n):
+                return mul_codes(g, xa, meet_codes(g, ends[0](n), ends[1](n)))
+
+            term = self.gate(g, x, y, target)
+            assert dir_join(w, a, x, y).codes == ref_stabilized(w, x.codes, y.codes, term)

@@ -67,8 +67,8 @@ class TestLazyImports:
         assert not loaded & {"raagkit.dynamics", "raagkit.structure", "raagkit.checks", "dataclasses"}
 
     def test_dyn_qdir_loads_no_conjugacy(self):
-        # The gates compute their powers with the kernel's pow_codes, so the
-        # dynamics rows need no cyclic reduction.
+        # The gates stream copies of w's core through the order layer's
+        # meet, so the dynamics rows need no cyclic reduction.
         loaded = loaded_beyond_bare("-m", "raagkit", "dyn", "qdir", "-g", F2XZ, "--w", "a c", "b", "a^2")
         assert {"raagkit.dynamics", "raagkit.order"} <= loaded
         assert not loaded & {"raagkit.conjugacy", "raagkit.structure", "raagkit.checks"}

@@ -145,6 +145,32 @@ class TestMeet:
             assert meet_codes(g, x, y) == ref_meet(g, x, y)
             assert meet_codes(g, y, x) == ref_meet(g, x, y)
 
+    @pytest.mark.parametrize("name", KERNEL_GRAPHS)
+    def test_stream_matches_reference_meet(self, kernel_graphs, name):
+        # a ∩ b·c·c·… for a cyclically reduced c and b·cᴹ reduced, against
+        # the meet with b·cᴹ built at M = l(a) + 2 copies.  a is a prefix of
+        # that word plus noise, so the meet is long; a and b range across
+        # SPLICE_MAX, so both the short scan and the piles are used.
+        g = kernel_graphs[name]
+        rng = random.Random(f"ref-stream:{name}")
+
+        def word(n):
+            return canon_codes(g, [rng.randrange(2 * g.ngens) for _ in range(n)])
+
+        done = 0
+        while done < 300:
+            c = word(rng.randint(1, 8))
+            b = word(rng.randint(0, 2 * SPLICE_MAX)) if rng.random() < 0.7 else ()
+            head = mul_codes(g, b, c * 3)
+            if len(mul_codes(g, c, c)) != 2 * len(c) or len(head) != len(b) + 3 * len(c):
+                continue
+            a = mul_codes(g, head[: rng.randint(0, len(head))], word(rng.randint(0, 6)))
+            m = len(a) + 2
+            full = canon_codes(g, b + c * m)
+            assert len(full) == len(b) + m * len(c)
+            assert meet_codes(g, a, b, c) == ref_meet(g, a, full)
+            done += 1
+
     def test_factorization(self, f2xz, balls):
         # x = (x∩y)·m⁻¹x with no cancellation.
         g = f2xz
