@@ -30,7 +30,6 @@ from .dynamics import (
 from .elements import GroupElement, _require_same_graph, fl_codes, identity, inv_codes, mul_codes, pow_codes, render, support_codes
 from .errors import InvariantViolationError, ResourceCapError
 from .order import (
-    _reduced_product,
     ball,
     interval,
     interval_codes,
@@ -327,16 +326,17 @@ def slice_by_power(w: GroupElement, a: GroupElement, x: GroupElement) -> bool:
     """The oracle of `in_axis_slice`: x ∈ [w⁻ⁿa, wⁿa], with wⁿ built as a
     power at n = l(a⁻¹x) + 1.
 
-    Seen from a the cell is [c⁻ⁿ, cⁿ] for c = a⁻¹wa, and x lies in it
-    exactly when (w⁻ⁿa)⁻¹x · x⁻¹wⁿa is reduced.  The cells grow with n, and
-    the fold Y(c⁻ⁿ, s, cⁿ) of s = a⁻¹x reads only the prefixes of c^{±n} of
-    length ≤ l(s), which are the same for every n ≥ l(s) (see
+    Seen from a the cell is [c⁻ⁿ, cⁿ] for c = a⁻¹wa, and x lies in
+    [lo, hi] exactly when x⁻¹lo ∩ x⁻¹hi = 1, as in `preceq`.  The cells grow
+    with n, and the fold Y(c⁻ⁿ, s, cⁿ) of s = a⁻¹x reads only the prefixes of
+    c^{±n} of length ≤ l(s), which are the same for every n ≥ l(s) (see
     `dir_join_by_power`); so membership at this n is membership in the slice.
     """
     g = w.graph
     wn = w ** (len(~a * x) + 1)
     lo, hi = ~wn * a, wn * a
-    return _reduced_product(g, (~lo * x).codes, (~x * hi).codes)
+    ix = ~x
+    return not meet_codes(g, (ix * lo).codes, (ix * hi).codes)
 
 
 def check_folding(

@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_INTERVAL_CAP,
         dest="interval_cap",
-        help="cap on the cells that interval and boundary enumerate",
+        help="cap on the elements that interval and boundary list",
     )
     common.add_argument(
         "--conj-cap",

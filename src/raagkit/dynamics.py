@@ -11,7 +11,7 @@ proves that the limit is reached (see `qdir` and `psi_fold`).
 from __future__ import annotations
 
 from .elements import GroupElement, _require_same_graph, inv_codes, mul_codes
-from .order import _reduced_product, meet_codes, median_codes, orth_codes
+from .order import meet_codes, median_codes, orth_codes
 
 
 def _gap(g, w, ix, x) -> tuple[int, ...]:
@@ -41,17 +41,17 @@ def in_axis(w: GroupElement, x: GroupElement) -> bool:
 def preceq(w: GroupElement, x: GroupElement, y: GroupElement) -> bool:
     """The preorder attached to w: x below y when x⁻¹y is a prefix of x⁻¹wy.
 
-    With t = x⁻¹y and c = y⁻¹wy, x⁻¹wy = t·c, so t is a prefix of it exactly
-    when the product t·c is reduced, l(tc) = l(t) + l(c).  That is decided by
-    one cancellation sweep that stops at the first cancellation, without
-    building t·c.
+    That is l(x⁻¹y) + l(y⁻¹wy) = l(x⁻¹wy): y lies in the cell [x, wy].  A
+    point p lies in a cell [a, b] exactly when Y(a, p, b) = p, and left
+    translation by p with Y(1, s, t) = s ∩ t gives
+    Y(x, y, wy) = y·(y⁻¹x ∩ y⁻¹wy).  So x is below y exactly when
+    y⁻¹x ∩ y⁻¹wy = 1, one meet of the pair that `sim` asks to be orthogonal.
     """
     _require_same_graph(w, x)
     _require_same_graph(w, y)
     g = w.graph
-    t = mul_codes(g, inv_codes(g, x.codes), y.codes)
-    c = mul_codes(g, mul_codes(g, inv_codes(g, y.codes), w.codes), y.codes)
-    return _reduced_product(g, t, c)
+    iy = inv_codes(g, y.codes)
+    return not meet_codes(g, mul_codes(g, iy, x.codes), mul_codes(g, mul_codes(g, iy, w.codes), y.codes))
 
 
 def sim(w: GroupElement, x: GroupElement, y: GroupElement) -> bool:

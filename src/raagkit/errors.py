@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-# Default enumeration caps: cells and balls in `order` (`interval`,
-# `boundary`, `ball`); conjugate sets in `conjugacy`.  The CLI shows them as
+# Default caps: on the elements that `order` lists (`interval`, `boundary`,
+# `ball`) and on conjugate sets in `conjugacy`.  The CLI shows them as
 # option defaults without importing those modules.
 DEFAULT_INTERVAL_CAP = 20_000
 DEFAULT_CONJUGACY_CAP = 100_000

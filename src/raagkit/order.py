@@ -6,6 +6,10 @@ prefixes (meet), medians, joins (partial), orthogonality, geodesic intervals
 (cells), cell boundaries, metric balls, and the interval-based oracle for
 quasidirections.
 
+A point p lies in a cell [x, z] exactly when p⁻¹x ∩ p⁻¹z = 1 (see
+`dynamics.preceq`); the ends of [1, v] are read off the non-commutation
+components of supp(v) (see `boundary`).  Only `interval` and `ball` enumerate.
+
 Tuple-level functions (suffix `_codes`) are the fast path shared by the rest
 of the package; same-named wrappers operate on GroupElement.
 """
@@ -140,40 +144,6 @@ def meet_codes(graph: CommutationGraph, a, b, c=()) -> tuple[int, ...]:
             break
         part = c
     return canon_codes(graph, cancelled) if c else tuple(cancelled)
-
-
-def _reduced_product(graph: CommutationGraph, a, b) -> bool:
-    """Whether a·b is reduced, l(ab) = l(a) + l(b), for reduced a and b.
-
-    The sweep of `meet_codes` with a's letters as the pending entries and b
-    as the incoming word.  a and b are reduced, so a cancellation can only
-    pair a letter of b with a pending letter of a, and l(ab) = l(a) + l(b)
-    exactly when none occurs.  Up to the first cancellation nothing is
-    popped, so the top of a generator's pile is the last letter of a that
-    blocks it, unless a letter of b already hides it; a backward scan finds
-    that letter.  A letter hides its own generator, so each generator is
-    scanned for at most once.  The sweep returns False at the first
-    cancellation and True once the hidden mask covers every generator.
-    """
-    if not a or not b:
-        return True
-    block = graph.block_mask
-    full = (1 << graph.ngens) - 1
-    last = len(a) - 1
-    hidden = 0  # generators with a letter of b on top of their pile
-    for s in b:
-        g = s >> 1
-        m = block[g]
-        if not (hidden >> g) & 1:
-            p = last
-            while p >= 0 and not (m >> (a[p] >> 1)) & 1:
-                p -= 1
-            if p >= 0 and a[p] == s ^ 1:
-                return False
-        hidden |= m
-        if hidden == full:
-            return True
-    return True
 
 
 def median_codes(graph: CommutationGraph, x, y, z) -> tuple[int, ...]:
@@ -314,14 +284,52 @@ def interval(x: GroupElement, y: GroupElement, cap: int = DEFAULT_INTERVAL_CAP) 
     return frozenset(GroupElement(graph, mul_codes(graph, x.codes, t)) for t in interval_codes(graph, z, cap))
 
 
+def _noncomm_components(graph: CommutationGraph, supp: set[int]) -> list[set[int]]:
+    """Connected components of the non-commutation graph induced on supp."""
+    order = sorted(supp)
+    comps: list[set[int]] = []
+    placed: set[int] = set()
+    for seed in order:
+        if seed in placed:
+            continue
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            cur = stack.pop()
+            for t in order:
+                if t not in comp and not graph.commutes(cur, t):
+                    comp.add(t)
+                    stack.append(t)
+        placed |= comp
+        comps.append(comp)
+    return comps
+
+
 def boundary(v: GroupElement, cap: int = DEFAULT_INTERVAL_CAP) -> set[GroupElement]:
-    """The ends of the cell [1, v]: {a ⊂ v : a ⊥ a⁻¹v}."""
+    """The ends of the cell [1, v]: {a ⊂ v : a ⊥ a⁻¹v}.
+
+    They are the 2^k projections π_S(v), for S a union of the components
+    C₁, …, C_k of the non-commutation graph on supp(v); π_S deletes the
+    letters outside S, a homomorphism that fixes the elements spelled in S.
+    If a ⊂ v and a ⊥ b = a⁻¹v, then v = a·b with lengths adding, and the
+    supports of a and b are disjoint and commute, so no non-commutation edge
+    joins them: S = supp(a) is a union of the Cᵢ and π_S(v) = π_S(a)·π_S(b)
+    = a.  Conversely, for such an S the subsequences p and q of v's normal
+    form on S and off it commute letter by letter, so v = p·q.  A shorter or
+    shortlex-smaller word for p, put in p's places, would spell v shorter or
+    smaller, so p is the normal form of π_S(v), likewise q of π_{S^c}(v);
+    their lengths add and they are orthogonal.  supp(π_S(v)) = S, so the
+    ends are distinct, and 2^k above `cap` raises before any is built.
+    """
     graph = v.graph
-    out: set[GroupElement] = set()
-    for a in interval_codes(graph, v.codes, cap):
-        if orth_codes(graph, a, mul_codes(graph, inv_codes(graph, a), v.codes)):
-            out.add(GroupElement(graph, a))
-    return out
+    comps = _noncomm_components(graph, support_codes(v.codes))
+    if 1 << len(comps) > cap:
+        raise ResourceCapError("cell boundary", cap)
+    picks = [0]
+    for comp in comps:
+        bits = sum(1 << s for s in comp)
+        picks += [p | bits for p in picks]
+    return {GroupElement(graph, tuple(c for c in v.codes if p >> (c >> 1) & 1)) for p in picks}
 
 
 def ball(g: CommutationGraph, r: int, cap: int = DEFAULT_INTERVAL_CAP) -> set[GroupElement]:

@@ -151,6 +151,8 @@ def random_codes(rng: random.Random, graph: CommutationGraph, max_len: int, min_
     The length L is uniform in [min_len, max_len]; the element is uniform
     among the elements of length L.
     """
+    if min_len > max_len:
+        raise ValueError(f"sampled word length: min_len {min_len} exceeds max_len {max_len}")
     if max_len > MAX_SAMPLE_LEN:
         raise ResourceCapError("sampled word length", MAX_SAMPLE_LEN, "letters")
     length = rng.randint(min_len, max_len)

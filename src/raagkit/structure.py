@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .conjugacy import cyclic_reduce, is_cyclically_reduced, max_root
 from .elements import GroupElement, _require_same_graph, canon_codes, mul_codes, render, support_codes
 from .errors import InvariantViolationError
+from .order import _noncomm_components
 from .presentation import CommutationGraph
 
 
@@ -71,27 +72,6 @@ def s_perp_set(u: GroupElement) -> set[int]:
         if s not in supp and all(g.commutes(s, t) for t in supp):
             out.add(s)
     return out
-
-
-def _noncomm_components(graph: CommutationGraph, supp: set[int]) -> list[set[int]]:
-    """Connected components of the non-commutation graph induced on supp."""
-    order = sorted(supp)
-    comps: list[set[int]] = []
-    placed: set[int] = set()
-    for seed in order:
-        if seed in placed:
-            continue
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            cur = stack.pop()
-            for t in order:
-                if t not in comp and not graph.commutes(cur, t):
-                    comp.add(t)
-                    stack.append(t)
-        placed |= comp
-        comps.append(comp)
-    return comps
 
 
 def is_primitive(w: GroupElement) -> bool:

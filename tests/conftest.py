@@ -88,9 +88,9 @@ def qdir_oracle(balls):
     """qdir_oracle(name) -> list of `oracle_qdir(x, y, preceq_w)` on a fixture.
 
     One answer per triple w in ball(2), x and y in ball(3), each ball in
-    shortlex order, listed in the loop order w, x, y.  The two tests that
-    compare `qdir` with the oracle read the same list, so the oracle runs once
-    per fixture and session.  Equal answers share one element.
+    shortlex order, listed in the loop order w, x, y.  Acceptance criterion 7
+    compares `qdir` with this list; it is built once per fixture and session.
+    Equal answers share one element.
     """
     tables: dict[str, list] = {}
 

@@ -15,6 +15,9 @@ algorithms are validated against independent routes:
   remainders.
 - `brute_interval` / `brute_median`: the median must be the unique common
   point of the three pairwise intervals.
+- `ref_boundary`: the ends of the cell [1, v] by enumerating the cell and
+  keeping every a with a ⊥ a⁻¹v, the reference for the ends read off the
+  splitting of supp(v) into non-commutation components.
 - `ref_random_codes`: the r-th normal form of length L in lexicographic
   order, with the letters forbidden after a word read off the word by a
   backward scan, the reference for the counted automaton of `random_codes`.
@@ -41,7 +44,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from raagkit.elements import canon_codes, fl_codes, identity, inv_codes, mul_codes, pow_codes
+from raagkit.elements import GroupElement, canon_codes, fl_codes, identity, inv_codes, mul_codes, pow_codes
+from raagkit.order import interval_codes, orth_codes
 from raagkit.presentation import CommutationGraph
 
 
@@ -174,6 +178,16 @@ def brute_median(
     common = cell(x, y) & cell(y, z) & cell(x, z)
     assert len(common) == 1, f"median is not unique for {x}, {y}, {z}: {sorted(common)}"
     return next(iter(common))
+
+
+def ref_boundary(v) -> set:
+    """{a ⊂ v : a ⊥ a⁻¹v}, with the prefixes a of v enumerated as the cell [1, v]."""
+    g = v.graph
+    return {
+        GroupElement(g, a)
+        for a in interval_codes(g, v.codes)
+        if orth_codes(g, a, mul_codes(g, inv_codes(g, a), v.codes))
+    }
 
 
 class _RefNormalForms:

@@ -1,5 +1,7 @@
 """The invariant suites: zero failures, fixed shapes, reproducible reports."""
 
+import hashlib
+
 import pytest
 
 from raagkit import checks
@@ -8,6 +10,7 @@ from raagkit.dynamics import qdir
 from raagkit.elements import inv_codes, mul_codes
 from raagkit.errors import ResourceCapError
 from raagkit.order import median, meet_codes
+from raagkit.sampling import random_codes, stream
 from raagkit.structure import CentralizerPresentation, centralizer
 
 SAMPLES = 40
@@ -114,11 +117,28 @@ class TestSuites:
         second = run_suite("all", f2xz, samples=15, seed=9, max_len=7)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "name, count, digest",
+        [("free2", 3883, "80f524bfab625829"), ("z2", 4242, "87cfd721d0141ce0"), ("f2xz", 3913, "e825b1800fe0e2bf")],
+    )
+    def test_drawn_words_are_pinned(self, monkeypatch, graphs, name, count, digest):
+        # A report holds only law names, counts and failures, so a change of
+        # sampling (a renamed stream label, a reordered draw) leaves a passing
+        # report unchanged; the words drawn for it are pinned here instead.
+        draws = []
+
+        def recorder(*args, **kwargs):
+            draws.append(random_codes(*args, **kwargs))
+            return draws[-1]
+
+        monkeypatch.setattr(checks, "random_codes", recorder)
+        run_suite("all", graphs[name], 40, 3, 8)
+        assert len(draws) == count
+        assert hashlib.sha256(repr(draws).encode()).hexdigest()[:16] == digest
+
     def test_different_seed_different_stream(self, f2xz):
         # Reports still pass, but the drawn words differ; compare indirectly
         # via the internal sampler to avoid asserting on pass/fail content.
-        from raagkit.sampling import random_codes, stream
-
         a = [random_codes(stream(1, "cyclic"), f2xz, 8) for _ in range(20)]
         b = [random_codes(stream(2, "cyclic"), f2xz, 8) for _ in range(20)]
         assert a != b

@@ -248,6 +248,17 @@ class TestExitCodes:
         assert out.endswith("total: 0 failures across 4 records\n")
         assert elapsed < 5.0
 
+    @pytest.mark.parametrize("suite", ["cyclic", "folding", "structure", "all"])
+    def test_zero_max_len_is_a_usage_error(self, suite, capsys):
+        # These suites draw nontrivial words, min_len 1, so --max-len 0 leaves
+        # no length to draw; the error names the lengths, not randrange.
+        code = cli.main(["check", suite, "-g", FREE2, "--max-len", "0", "--samples", "5"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_PARSE == 2
+        assert out == ""
+        assert err == "raagkit: sampled word length: min_len 1 exceeds max_len 0\n"
+        assert "randrange" not in err
+
     def test_sampling_flags_only_on_check(self, capsys):
         for flag in ("--seed", "--samples", "--max-len"):
             with pytest.raises(SystemExit) as e:

@@ -1,17 +1,17 @@
 """Order layer vs brute-force oracles: meet, median, join, boundary, cells."""
 
 import random
+import time
 from itertools import combinations_with_replacement, product
 
 import pytest
 
-from conftest import KERNEL_GRAPHS
-from oracles_bf import brute_interval, brute_median, brute_prefixes, ref_join, ref_meet
+from conftest import KERNEL_GRAPHS, random_graph
+from oracles_bf import brute_interval, brute_median, brute_prefixes, ref_boundary, ref_join, ref_meet
 from raagkit.checks import check_agroup_axioms, check_median_axioms, orth_codes_definitional
 from raagkit.elements import SPLICE_MAX, canon_codes, element, identity, inv_codes, mul_codes
 from raagkit.errors import InvariantViolationError, ResourceCapError
 from raagkit.order import (
-    _reduced_product,
     ball,
     ball_codes,
     boundary,
@@ -29,7 +29,7 @@ from raagkit.order import (
     orth_codes,
     prefix_codes,
 )
-from raagkit.presentation import parse_graph
+from raagkit.presentation import CommutationGraph, parse_graph
 
 FIXTURES = ["free2", "z2", "f2xz"]
 
@@ -50,41 +50,6 @@ class TestPrefixFrozen:
             for y in balls("f2xz", 3):
                 if is_prefix(x, y) and is_prefix(y, x):
                     assert x == y
-
-
-class TestReducedProduct:
-    def test_frozen(self, free2, f2xz):
-        def reduced(g, x, y):
-            return _reduced_product(g, element(g, x).codes, element(g, y).codes)
-
-        assert reduced(free2, "a", "b")
-        assert not reduced(free2, "a b", "b^-1 a")
-        # b hides every generator before a^-1 arrives, so nothing cancels.
-        assert reduced(free2, "a", "b a^-1")
-        assert not reduced(f2xz, "a c", "a^-1")
-        assert reduced(f2xz, "a c", "b a^-1")
-        assert reduced(f2xz, "1", "a") and reduced(f2xz, "a", "1")
-
-    def test_matches_length_of_product(self, kernel_graphs):
-        # Long random pairs on G(20, 0.3), half of them with b starting by
-        # the inverse of a suffix of a, so both answers occur and the sweep
-        # often stops early once b's letters hide every generator.
-        g = kernel_graphs["G20"]
-        rng = random.Random("reduced-product")
-
-        def word(n):
-            return canon_codes(g, [rng.randrange(2 * g.ngens) for _ in range(n)])
-
-        seen = set()
-        for _ in range(200):
-            a = word(rng.randint(0, 256))
-            b = word(rng.randint(0, 256))
-            if rng.random() < 0.5:
-                b = canon_codes(g, inv_codes(g, a[rng.randint(0, len(a)):]) + b)
-            got = _reduced_product(g, a, b)
-            assert got == (len(mul_codes(g, a, b)) == len(a) + len(b))
-            seen.add(got)
-        assert seen == {True, False}
 
 
 class TestMeet:
@@ -349,6 +314,32 @@ class TestBoundary:
     def test_cap(self, f2xz):
         with pytest.raises(ResourceCapError):
             boundary(element(f2xz, "a c b a c b"), cap=3)
+
+    def test_long_words_are_decided(self, free2, z2):
+        # The enumeration of the cell took 17.4 s on a^4000, and on z2 the
+        # cell of a^200 b^200 has 201² elements, over the default cap.
+        a = element(free2, "a")
+        start = time.perf_counter()
+        assert boundary(a**4000) == {identity(free2), a**4000}
+        assert time.perf_counter() - start < 1.0
+        v = element(z2, "a^200 b^200")
+        assert boundary(v) == {element(z2, t) for t in ("1", "a^200", "b^200", "a^200 b^200")}
+
+    @pytest.mark.parametrize(
+        "name, radius",
+        [("free2", 4), ("z2", 4), ("f2xz", 4), ("C5", 3), ("P4", 3), ("F2xF2", 3), ("K8", 2), ("G10", 2)],
+    )
+    def test_matches_enumerated_ends(self, kernel_graphs, name, radius):
+        # P4 is the path x0 - x1 - x2 - x3 of commuting pairs; in (F2)² each
+        # of a, b commutes with each of c, d.
+        extra = {
+            "P4": lambda: CommutationGraph([f"x{i}" for i in range(4)], {frozenset((i, i + 1)) for i in range(3)}),
+            "F2xF2": lambda: CommutationGraph(list("abcd"), {frozenset((i, j)) for i in (0, 1) for j in (2, 3)}),
+            "G10": lambda: random_graph(10, 0.4, seed=10),
+        }
+        g = extra[name]() if name in extra else kernel_graphs[name]
+        for v in ball(g, radius):
+            assert boundary(v) == ref_boundary(v), v.codes
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_power_of_two_and_complement_closure(self, graphs, balls, name):

@@ -40,6 +40,14 @@ def test_min_len_respected(free2):
         assert 2 <= len(t) <= 6
 
 
+def test_empty_length_range_is_a_value_error(free2):
+    rng = stream(0, "empty")
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="min_len 1 exceeds max_len 0"):
+        random_codes(rng, free2, 0, min_len=1)
+    assert rng.getstate() == state
+
+
 def test_lengths_cover_range(f2xz):
     rng = stream(1, "cover")
     seen = Counter(len(random_codes(rng, f2xz, 5)) for _ in range(2000))

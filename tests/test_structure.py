@@ -1,7 +1,9 @@
 """Primitive parts, commuting decompositions, and centralizers.
 
-The connectivity criterion inside `is_primitive` is validated against
-boundary enumeration on every cell of radius-4 balls; decompositions are
+The connectivity criterion inside `is_primitive` is validated against the
+ends of the core's cell, enumerated by `ref_boundary`, on every element of
+radius-4 balls (the library's `boundary` reads the same components that
+`is_primitive` does, so it cannot serve as its check); decompositions are
 round-tripped and checked primitive-by-primitive; centralizers are checked
 sound (every generator commutes) and complete: the structure-theorem
 decision `outside_span` agrees with commutation on every ball pair, and
@@ -12,13 +14,13 @@ import itertools
 
 import pytest
 
-from oracles_bf import ref_generated_within, ref_in_centralizer
+from oracles_bf import ref_boundary, ref_generated_within, ref_in_centralizer
 from raagkit.checks import outside_span
 from raagkit.conjugacy import cyclic_reduce, is_cyclically_reduced, max_root
 from raagkit.dynamics import fold_phi, in_axis, preceq
 from raagkit.elements import GroupElement, element, identity, render
 from raagkit.errors import InvariantViolationError
-from raagkit.order import ball, boundary, interval, is_orthogonal, join, meet
+from raagkit.order import ball, interval, is_orthogonal, join, meet
 from raagkit.sampling import random_codes, stream
 from raagkit.structure import (
     CentralizerPresentation,
@@ -48,7 +50,7 @@ def primitive_by_boundary(w):
     core = cyclic_reduce(w).core
     if max_root(core)[1] != 1:
         return False
-    return len(boundary(core)) <= 2
+    return len(ref_boundary(core)) <= 2
 
 
 class TestSPerp:
