@@ -2,11 +2,12 @@
 
 Each suite draws reproducible random instances and returns one record per
 law: {"axiom": name, "samples": count, "failures": [counterexample word
-dicts]}.  One bounded search is left: the structure law
-"noncommuting-translation-moves-folding" scans ball(2) for a witness and
-also carries "inconclusive", the number of instances the scan could not
-settle; those are reported, never counted as failures.  Identical (graph,
-seed, samples, max_len) input yields identical reports.
+dicts]}.  No law searches for a witness: each decides its instances, so a
+wrong answer of the code under test is a failure.  Each law samples
+`samples` instances but one: "noncommuting-translation-moves-folding"
+counts the drawn pairs (w, t) with t ∉ C(w), the instances of its
+hypothesis.  Identical (graph, seed, samples, max_len) input yields
+identical reports.
 """
 
 from __future__ import annotations
@@ -574,10 +575,95 @@ def outside_span(w: GroupElement, z: CentralizerPresentation, xs: Iterable[Group
     return [x for x in xs if not inside(back(x))]
 
 
+def moves_folding(w: GroupElement, t: GroupElement) -> bool:
+    """Whether t·φ_w(x) ≠ φ_w(tx) at x = 1 or at x = w, for φ = `fold_phi`.
+
+    This holds exactly when t ∉ C(w).  If t ∈ C(w), step 1 gives
+    φ_w(tx) = t·φ_w(x) for every x.  Conversely, suppose equality at both
+    points; then t ∈ C(w):
+
+    1. Translation.  φ_w(x) = x·(c ∩ c⁻¹) for c = x⁻¹wx (`dynamics._gap`),
+       so φ_w(gx) = g·φ_{g⁻¹wg}(x).  With u = c ∩ c⁻¹ the core conjugator
+       of c, (xu)⁻¹w(xu) = u⁻¹cu is the core of c, so φ_w(x) lies in
+       Fix(φ_w) = {y : y⁻¹wy cyclically reduced}.
+    2. Write w = a·c·a⁻¹ with a = φ_w(1) = w ∩ w⁻¹ and c cyclically
+       reduced; then φ_w(w) = w·a = a·c.  Equality at x = 1 gives
+       φ_w(t) = ta, and at x = w it gives φ_w(tw) = twa = tac.  By step 1
+       ta and tac lie in Fix(φ_w), and y lies there exactly when a⁻¹y lies
+       in Fix(φ_c).  So for s = a⁻¹ta both d = s⁻¹cs and e = c⁻¹dc, the
+       conjugates of c by s and by sc, are cyclically reduced.  The lemma
+       gives d = c, so s ∈ C(c) and t = a·s·a⁻¹ ∈ C(w).
+    3. Lemma: if c, d = s⁻¹cs and e = c⁻¹dc are cyclically reduced, then
+       d = c.  Fix(φ_c) is not a line (if a commutes with b and b'
+       commutes with neither, 1, a, b and ab are all fixed points of the
+       folding of a·b·b'), so distances alone cannot give this.  The proof
+       uses three facts.  The cyclically reduced conjugates of c are the
+       words reached from c by moves v ↦ x⁻¹vx, x a first letter of v
+       (the closure of `conjugacy`); a move keeps the support and the
+       length.  The centralizer theorem of `outside_span`.  No u ≠ 1 is
+       conjugate to u⁻¹, since the group is bi-orderable (Duchamp and
+       Thibon, "Simple orderings for free partially commutative groups",
+       Int. J. Algebra Comput. 2, 1992).
+
+       a. Components.  Let S₁, …, S_k be the components of the
+          non-commutation graph on S = supp c, and πᵢ the retraction that
+          deletes the letters outside Sᵢ (c ≠ 1, or there is nothing to
+          prove).  d and e have support S, so each is the product of its
+          commuting pieces πᵢ(·).  A letter of Sᵢ is a first letter of such
+          a product exactly when it is a first letter of its piece in
+          A_{Sᵢ}, so the product is cyclically reduced exactly when every
+          piece is.  Applying πᵢ gives dᵢ = πᵢ(s)⁻¹cᵢπᵢ(s) and
+          eᵢ = cᵢ⁻¹dᵢcᵢ, cyclically reduced in A_{Sᵢ}.  So it suffices to
+          show dᵢ = cᵢ: take S connected and work in A_S.  There
+          C(c) = ⟨r⟩, where c = rᵐ with m ≥ 1 and r primitive and
+          cyclically reduced.
+       b. Cuts.  Every rᴺ is r written N times without cancellation.  Let
+          H be the heap of the word …rrr…: one occurrence per letter and
+          copy j ∈ ℤ, ordered by the transitive closure of "o precedes o'
+          in the word, and their generators are equal or do not commute".
+          The occurrences of one generator v form a chain.  A cut is a down-closed D ⊂ H holding
+          every copy below some j and none above some j'; D + j is D moved
+          up j copies, and D_v is its chain of v.  For cuts E ⊆ D, the
+          occurrences D ∖ E spell a reduced word, a piece of some rᴺ, whose
+          first letters are the minimal occurrences of D ∖ E.  Let Dⱼ be
+          the cut of the copies below j, and x_D = r⁻ʲ·[D ∖ D₋ⱼ] for any j
+          with D₋ⱼ ⊆ D.  Then x_D = x_E·[D ∖ E] and x_{D+1} = r·x_D.
+          (i) x_D⁻¹·c·x_D = [(D + m) ∖ D], whose first letters are the
+              minimal occurrences o of H ∖ D; the move by the letter of o
+              gives the conjugate for the cut D ∪ {o}.  So every
+              cyclically reduced conjugate of c is x_D⁻¹·c·x_D for a cut D.
+          (ii) For cuts D and E with F = D ∩ E, x_D⁻¹x_E is
+              [D ∖ F]⁻¹·[E ∖ F] without cancellation.  A common first letter
+              would be the letter of a minimal occurrence of D ∖ F and of
+              one of E ∖ F.  Both are minimal in H ∖ F, as D and E are
+              down-closed, and H ∖ F has at most one minimal occurrence per
+              generator; so they are one occurrence, in D ∩ E = F.  So x_D⁻¹x_E has |D_v △ E_v|
+              letters of each generator v.
+       c. Proof.  By (i), d = x_D⁻¹cx_D and e = x_E⁻¹cx_E for cuts D and
+          E.  e = c⁻¹dc says that x_D·c·x_E⁻¹ lies in C(c) = ⟨r⟩, so
+          x_D·c = x_{E'} with E' = E + j for some j.  By (ii), E'_v differs
+          from D_v in N_v ≥ 1 occurrences, the number of letters of
+          generator v in c, which is m copies' worth.  Both are initial
+          segments of the chain of v, so E'_v adds the next N_v occurrences
+          to D_v or drops its last N_v.  If u and v do not
+          commute, their occurrences together form one chain, of which D
+          and E' hold nested initial segments, so u and v move the same
+          way.  S is connected, so every generator moves the same way, and
+          E' = D ± m: x_D·c = c^{±1}·x_D.  The sign − makes c⁻¹ a
+          conjugate of c, which is impossible; so x_D·c = c·x_D and d = c.
+    """
+    one = identity(w.graph)
+    return any(t * fold_phi(w, x) != fold_phi(w, t * x) for x in (one, w))
+
+
 def check_structure(
     g: CommutationGraph, samples: int = 1000, seed: int = 0, max_len: int = 8
 ) -> list[dict]:
-    """Primitive decompositions and centralizers, with decided completeness."""
+    """Primitive decompositions, centralizers, and the foldings they stabilize.
+
+    Completeness is decided by `outside_span`, and the folding moved by a
+    translation outside the centralizer by `moves_folding`.
+    """
     rng = stream(seed, "structure")
 
     round_fail: list[dict] = []
@@ -695,17 +781,18 @@ def check_structure(
         if t * fold_phi(w, x) != fold_phi(w, t * x):
             stab_fail.append(_fail(w=w, t=t, x=x))
 
-    witness_inconclusive = 0
-    ball2 = sorted(ball(g, 2), key=lambda t: (len(t), t.codes))
-    witness_tried = 0
+    # Its samples are the drawn pairs with t ∉ C(w); each must move the
+    # folding at x = 1 or x = w (see `moves_folding`).
+    move_fail: list[dict] = []
+    move_tried = 0
     for _ in range(samples):
         w = _draw(rng, g, min(max_len, 5), min_len=1)
         t = _draw(rng, g, min(max_len, 4))
         if in_centralizer(w, t):
             continue
-        witness_tried += 1
-        if not any(t * fold_phi(w, x) != fold_phi(w, t * x) for x in ball2):
-            witness_inconclusive += 1
+        move_tried += 1
+        if not moves_folding(w, t):
+            move_fail.append(_fail(w=w, t=t))
 
     return [
         {"axiom": "decomposition-round-trip", "samples": samples, "failures": round_fail},
@@ -757,9 +844,8 @@ def check_structure(
         },
         {
             "axiom": "noncommuting-translation-moves-folding",
-            "samples": witness_tried,
-            "failures": [],
-            "inconclusive": witness_inconclusive,
+            "samples": move_tried,
+            "failures": move_fail,
         },
     ]
 

@@ -103,8 +103,6 @@ def _format_report(report: list[dict]) -> str:
             head += f"FAIL ({len(record['failures'])} of {record['samples']} samples)"
         else:
             head += f"pass ({record['samples']} samples)"
-        if record.get("inconclusive"):
-            head += f" [{record['inconclusive']} inconclusive]"
         lines.append(head)
         for failure in record["failures"]:
             lines.append("  " + " ".join(f"{k}={v!r}" for k, v in failure.items()))

@@ -224,7 +224,8 @@ def load_graph(path: str) -> CommutationGraph:
 
 
 def parse_word(text: str, g: CommutationGraph) -> Word:
-    """Parse whitespace-separated tokens ``name`` or ``name^k`` (k nonzero).
+    """Parse whitespace-separated tokens ``name`` or ``name^k``, where k is a
+    nonzero integer written as an optional sign and ASCII digits.
 
     ``name^k`` expands to |k| copies of the letter with sign sgn(k). The empty
     string is the empty word; so is the single token ``1`` (the rendering of
@@ -240,10 +241,11 @@ def parse_word(text: str, g: CommutationGraph) -> Word:
             name, _, exp = tok.partition("^")
             if "^" in exp:
                 raise ParseError(f"malformed token {tok!r}: more than one '^'")
-            try:
-                k = int(exp)
-            except ValueError:
-                raise ParseError(f"malformed exponent in token {tok!r}") from None
+            # int() alone would also take "1_0" and non-ASCII digits such as "٣".
+            digits = exp[1:] if exp.startswith(("+", "-")) else exp
+            if not (digits.isascii() and digits.isdigit()):
+                raise ParseError(f"malformed exponent in token {tok!r}")
+            k = int(exp)
             if k == 0:
                 raise ParseError(f"zero exponent in token {tok!r}")
         else:

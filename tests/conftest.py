@@ -6,8 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from oracles_bf import ref_qdir_in_cell
 from raagkit.dynamics import preceq
-from raagkit.order import ball, oracle_qdir
+from raagkit.order import ball, interval
 from raagkit.presentation import CommutationGraph, load_graph
 
 GRAPHS_DIR = Path(__file__).resolve().parent.parent / "graphs"
@@ -90,13 +91,15 @@ def qdir_oracle(balls):
     One answer per triple w in ball(2), x and y in ball(3), each ball in
     shortlex order, listed in the loop order w, x, y.  Acceptance criterion 7
     compares `qdir` with this list; it is built once per fixture and session.
-    Equal answers share one element.
+    The cell [x, y] does not depend on w, so each is listed once and read by
+    `ref_qdir_in_cell`, the oracle's body.  Equal answers share one element.
     """
     tables: dict[str, list] = {}
 
     def get(name: str) -> list:
         if name not in tables:
             b3 = sorted(balls(name, 3), key=_shortlex)
+            cells = [sorted(interval(x, y), key=_shortlex) for x in b3 for y in b3]
             answers: list = []
             shared: dict = {}
             for w in sorted(balls(name, 2), key=_shortlex):
@@ -109,9 +112,10 @@ def qdir_oracle(balls):
                         got = memo[key] = preceq(w, u, v)
                     return got
 
+                listed = iter(cells)
                 for x in b3:
                     for y in b3:
-                        ref = oracle_qdir(x, y, pred)
+                        ref = ref_qdir_in_cell(x, y, next(listed), pred)
                         answers.append(shared.setdefault(ref.codes, ref))
             tables[name] = answers
         return tables[name]

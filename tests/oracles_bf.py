@@ -34,6 +34,12 @@ algorithms are validated against independent routes:
 - `ref_generated_within`: the products of given generators by a bounded
   subgroup search, the reference whose every element the structure-theorem
   decision `checks.outside_span` must place inside the span.
+- `ref_qdir_in_cell`: the body of `order.oracle_qdir` on a cell listed once
+  by the caller, so that a table of answers for many base elements w
+  enumerates each cell [x, y] once rather than once per w.
+- `ref_folding_witness`: a point x of a ball with t·φ_w(x) ≠ φ_w(tx), by
+  scanning the ball, the reference for the two points of
+  `checks.moves_folding`.
 
 Layering: brute_prefixes and everything below rely on the canonical-form
 engine, which is itself validated against the rewriting closure first.
@@ -44,8 +50,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+from raagkit.dynamics import fold_phi
 from raagkit.elements import GroupElement, canon_codes, fl_codes, identity, inv_codes, mul_codes, pow_codes
-from raagkit.order import interval_codes, orth_codes
+from raagkit.order import ball_codes, interval_codes, median_codes, orth_codes
 from raagkit.presentation import CommutationGraph
 
 
@@ -327,3 +334,31 @@ def ref_generated_within(graph: CommutationGraph, gens, radius: int) -> set:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def ref_qdir_in_cell(a, b, cell, pre):
+    """`oracle_qdir(a, b, pre)` with the cell [a, b] given as a list in
+    shortlex order: the points above a and b under pre, folded toward a with
+    (u, v) ↦ Y(u, a, v)."""
+    g = a.graph
+    upper = [u for u in cell if pre(a, u) and pre(b, u)]
+    if not upper:
+        raise AssertionError("no common upper bound inside the cell")
+    acc = upper[0].codes
+    for u in upper[1:]:
+        acc = median_codes(g, acc, a.codes, u.codes)
+    return GroupElement(g, acc)
+
+
+_REF_BALLS: dict[tuple[CommutationGraph, int], list[GroupElement]] = {}
+
+
+def ref_folding_witness(w, t, radius: int):
+    """The first x of ball(radius), in breadth-first order, with
+    t·φ_w(x) ≠ φ_w(tx); None when the ball holds none."""
+    g = w.graph
+    key = (g, radius)
+    points = _REF_BALLS.get(key)
+    if points is None:
+        points = _REF_BALLS[key] = [GroupElement(g, x) for x in ball_codes(g, radius)]
+    return next((x for x in points if t * fold_phi(w, x) != fold_phi(w, t * x)), None)

@@ -374,9 +374,9 @@ class TestCheckCommand:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("free2", "4c1a7172cd764e3034485f0eb75928c449195fde6f1d93cbdd7ac370a299af40"),
-            ("z2", "926e741f3f0a6ece9a27a5a99039d58394913f1b8d11a43d5b199ebc9cd29d7e"),
-            ("f2xz", "944d62a4b4429f98de9e16c5ecd868c5da8b5ded4b6857779b9e5fa324fe031e"),
+            ("free2", "cf379cf69fb4ba293c606eb6a166a3d54dc29ca57c30b355f04942fcb8722ea1"),
+            ("z2", "6ecbb1666b307d136395a1ef61014200bafb7d41401f32437e840758f6942ce8"),
+            ("f2xz", "0c2621c976c8fa15fa8c5e091a43b2a952255506a07257cd939ed2a8f2ec018f"),
         ],
         ids=["free2", "z2", "f2xz"],
     )

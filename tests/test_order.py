@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from conftest import KERNEL_GRAPHS, random_graph
-from oracles_bf import brute_interval, brute_median, brute_prefixes, ref_boundary, ref_join, ref_meet
+from oracles_bf import brute_interval, brute_median, brute_prefixes, ref_boundary, ref_join, ref_meet, ref_qdir_in_cell
 from raagkit.checks import check_agroup_axioms, check_median_axioms, orth_codes_definitional
 from raagkit.elements import SPLICE_MAX, canon_codes, element, identity, inv_codes, mul_codes
 from raagkit.errors import InvariantViolationError, ResourceCapError
@@ -422,6 +422,16 @@ class TestOracleQdir:
             oracle_qdir(
                 identity(free2), element(free2, "a"), lambda x, y: False
             )
+
+    def test_listed_cell_reference_agrees(self, graphs, balls):
+        # Criterion 7's table reads each cell once through ref_qdir_in_cell.
+        for name in graphs:
+            b2 = sorted(balls(name, 2), key=lambda e: (len(e), e.codes))
+            for w in balls(name, 1):
+                pre = lambda u, v, w=w: is_prefix(~u * v, ~u * w * v)
+                for x, y in product(b2, b2):
+                    cell = sorted(interval(x, y), key=lambda e: (len(e), e.codes))
+                    assert ref_qdir_in_cell(x, y, cell, pre) == oracle_qdir(x, y, pre)
 
 
 EXPECTED_MEDIAN_AXIOMS = [

@@ -123,7 +123,7 @@ class TestParseWord:
             parse_word("a^0", f2xz)
 
     def test_malformed_exponent(self, f2xz):
-        for bad in ("a^", "a^x", "a^^2", "a^1.5"):
+        for bad in ("a^", "a^x", "a^^2", "a^1.5", "a^1_0", "a^\u0663", "a^+", "a^+-2"):
             with pytest.raises(ParseError):
                 parse_word(bad, f2xz)
 

@@ -14,8 +14,10 @@ import itertools
 
 import pytest
 
-from oracles_bf import ref_boundary, ref_generated_within, ref_in_centralizer
-from raagkit.checks import outside_span
+from conftest import cycle_graph, random_graph
+from oracles_bf import ref_boundary, ref_folding_witness, ref_generated_within, ref_in_centralizer
+from raagkit.checks import moves_folding, outside_span
+from raagkit.presentation import CommutationGraph
 from raagkit.conjugacy import cyclic_reduce, is_cyclically_reduced, max_root
 from raagkit.dynamics import fold_phi, in_axis, preceq
 from raagkit.elements import GroupElement, element, identity, render
@@ -366,6 +368,28 @@ class TestFoldingFactorization:
                     for _ in range(10):
                         x = rand_elem(rng, g, 5)
                         assert t * fold_phi(w, x) == fold_phi(w, t * x)
+
+    @pytest.mark.parametrize(
+        "name, radius",
+        [("free2", 3), ("f2xz", 3), ("P4", 3), ("C5", 2), ("G(6,0.5)", 2)],
+    )
+    def test_two_points_decide_the_stabilizer(self, graphs, name, radius):
+        # Every pair of the ball with w ≠ 1: t ∉ C(w) exactly when the
+        # folding moves at x = 1 or x = w, and the ball(2) scan of
+        # ref_folding_witness finds a witness wherever those two points do.
+        g = {
+            **graphs,
+            "P4": CommutationGraph([f"x{i}" for i in range(4)], {frozenset((i, i + 1)) for i in range(3)}),
+            "C5": cycle_graph(5),
+            "G(6,0.5)": random_graph(6, 0.5, seed=3),
+        }[name]
+        elems = sorted(ball(g, radius), key=lambda e: (len(e), e.codes))
+        for w in elems[1:]:
+            for t in elems:
+                moved = moves_folding(w, t)
+                assert moved != ref_in_centralizer(w, t), (render(w), render(t))
+                if moved:
+                    assert ref_folding_witness(w, t, 2) is not None, (render(w), render(t))
 
 
 class TestHBasis:
